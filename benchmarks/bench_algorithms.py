@@ -12,7 +12,7 @@ producer of the ``extra.algorithms`` payload)::
 * routing Wu–Li through :mod:`repro.core.registry` is **bit-identical**
   (gateway mask *and* PruneStats) to calling ``compute_cds`` directly,
   across all five schemes and all three execution paths (scalar scratch,
-  delta pipeline, vectorized kernels);
+  delta pipeline, incremental sparse pipeline);
 * every registered algorithm drives one verified lifespan interval — a
   real :func:`repro.simulation.interval.run_interval` tick with
   ``verify=True`` — at small N.
@@ -41,7 +41,7 @@ from repro.core.cds import compute_cds
 from repro.core.delta import DeltaCDSPipeline
 from repro.core.priority import scheme_by_name
 from repro.core.registry import ALGORITHMS
-from repro.core.vectorized import VectorizedCDSPipeline
+from repro.core.sparse_delta import IncrementalSparseCDSPipeline
 from repro.graphs.generators import random_connected_network
 
 SCHEMES = ("nr", "id", "nd", "el1", "el2")
@@ -72,10 +72,10 @@ def _gate_wu_li_identity(seed: int) -> None:
             assert dlt.gateway_mask == ref.gateway_mask, (
                 f"delta pipeline diverged on scheme {scheme}"
             )
-            vec = VectorizedCDSPipeline(sch).compute(net, energy=energy)
-            assert (vec.gateway_mask, vec.stats) == (
+            sp = IncrementalSparseCDSPipeline(sch).compute(net, energy=energy)
+            assert (sp.gateway_mask, sp.stats) == (
                 ref.gateway_mask, ref.stats,
-            ), f"vectorized pipeline diverged on scheme {scheme}"
+            ), f"sparse pipeline diverged on scheme {scheme}"
             checked += 1
     print(f"wu_li bit-identity ok: {checked} (network, scheme) cells x 3 backends")
 

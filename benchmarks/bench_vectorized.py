@@ -4,8 +4,9 @@ Replays identical seeded mobility trajectories (paper walk, stability
 0.9, density-constant arena: ``side = scaled_side(n)``) through three
 per-interval pipelines:
 
-* **vectorized** — :class:`VectorizedCDSPipeline` (batched uint64 word
-  kernels: edge-table marking, miss-list Rule 1/2, batch width 1);
+* **vectorized** — :func:`compute_cds_batch` at batch width 1 (the dense
+  batched uint64 word kernels: edge-table marking, miss-list Rule 1/2;
+  the sparse engine's dense tier);
 * **delta** — :class:`DeltaCDSPipeline` (dirty-set incremental path);
 * **scratch** — invalidate + snapshot + :func:`compute_cds`, the scalar
   oracle every other path is pinned against.
@@ -53,7 +54,7 @@ import pytest
 from repro.core.cds import compute_cds
 from repro.core.delta import DeltaCDSPipeline
 from repro.core.priority import scheme_by_name
-from repro.core.vectorized import VectorizedCDSPipeline
+from repro.core.vectorized import compute_cds_batch
 from repro.geometry.space import Region2D
 from repro.graphs import bitset
 from repro.graphs.adhoc import AdHocNetwork
@@ -121,8 +122,19 @@ def _replay_pipeline(
     return masks
 
 
+class _DenseWidthOne:
+    """:func:`compute_cds_batch` on one topology, behind the pipeline API."""
+
+    def __init__(self, scheme_name):
+        self.scheme = scheme_by_name(scheme_name)
+
+    def compute(self, net, energy=None):
+        energies = None if energy is None else [energy]
+        return compute_cds_batch([net], self.scheme, energies)[0]
+
+
 def _replay_vectorized(frames, side, scheme_name, collect=False):
-    pipe = VectorizedCDSPipeline(scheme_by_name(scheme_name))
+    pipe = _DenseWidthOne(scheme_name)
     return _replay_pipeline(pipe, frames, side, scheme_name, collect)
 
 

@@ -30,6 +30,7 @@ from repro.core.priority import PAPER_SERIES_ORDER
 from repro.exec.executor import SweepExecutor, SweepProgress
 from repro.graphs.generators import scaled_side
 from repro.simulation.config import SimulationConfig
+from repro.simulation.runner import batches_cells
 
 __all__ = [
     "AlgorithmMatrixResult",
@@ -156,10 +157,10 @@ def _sweep(
     lockstep :func:`repro.simulation.batch_lifespan.run_lifespan_batch`
     pass instead of per-trial pool tasks (bit-identical metrics; same
     checkpoint records, so the two modes resume each other).  ``None``
-    auto-enables it exactly when the backend has batched kernels.
+    defers to :func:`repro.simulation.runner.batches_cells`.
     """
     if batch_cells is None:
-        batch_cells = base.backend in ("vectorized", "sparse")
+        batch_cells = batches_cells(base.backend)
 
     def overrides(n: int) -> dict:
         out = {"n_hosts": n}
@@ -211,12 +212,12 @@ def run_figure10(
 
     ``checkpoint_dir`` makes the whole figure resumable: a killed run
     restarts from its completed (N, scheme, trial) shards bit-identically.
-    ``backend="vectorized"`` + ``density_scaled=True`` lift the sweep to
+    ``backend="sparse"`` + ``density_scaled=True`` lift the sweep to
     N = 10k scenario families (same masks; see EXPERIMENTS.md).
     ``algorithm`` swaps the CDS construction for every cell (any name in
     :func:`repro.core.registry.algorithm_names`).  ``batch_cells`` (auto
-    for the batched backends) runs each cell's trials as one stacked
-    engine pass — see :func:`_sweep`.
+    for ``sparse``) runs each cell's trials as one stacked engine pass —
+    see :func:`_sweep`.
     """
     base = SimulationConfig(
         scheme="id", drain_model=drain_model, backend=backend,
@@ -274,12 +275,12 @@ def run_lifespan_figure(
 
     ``checkpoint_dir`` makes the whole figure resumable: a killed run
     restarts from its completed (N, scheme, trial) shards bit-identically.
-    ``backend="vectorized"`` + ``density_scaled=True`` lift the sweep to
+    ``backend="sparse"`` + ``density_scaled=True`` lift the sweep to
     N = 10k scenario families (same masks; see EXPERIMENTS.md).
     ``algorithm`` swaps the CDS construction for every cell (any name in
     :func:`repro.core.registry.algorithm_names`).  ``batch_cells`` (auto
-    for the batched backends) runs each cell's trials as one stacked
-    engine pass — see :func:`_sweep`.
+    for ``sparse``) runs each cell's trials as one stacked engine pass —
+    see :func:`_sweep`.
     """
     figure, formula = _FIGURE_BY_MODEL.get(drain_model, (f"({drain_model})", ""))
     base = SimulationConfig(

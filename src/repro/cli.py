@@ -43,7 +43,7 @@ from repro.core.registry import EXECUTION_BACKENDS, algorithm_names
 from repro.graphs.generators import paper_example_graph, random_connected_network
 from repro.io.topology_io import load_network
 from repro.simulation.config import SimulationConfig
-from repro.simulation.runner import run_trials
+from repro.simulation.runner import batches_cells, run_trials
 
 __all__ = ["main", "build_parser"]
 
@@ -81,25 +81,19 @@ def build_parser() -> argparse.ArgumentParser:
         "saved there and a re-run resumes from them bit-identically",
     )
     l.add_argument(
-        "--scratch", action="store_true",
-        help="recompute the CDS from scratch each interval instead of the "
-        "backend's incremental pipeline (results are bit-identical; "
-        "rejected for --backend delta, which is inherently incremental)",
-    )
-    l.add_argument(
         "--shadow-check", action="store_true",
         help="run both pipelines every interval and fail on any divergence",
     )
     l.add_argument(
         "--backend", default="scalar", choices=list(EXECUTION_BACKENDS),
-        help="CDS backend: scalar/delta pipelines, the batched numpy "
-        "kernels (vectorized), or the streaming CSR engine (sparse) — "
-        "bit-identical results; vectorized wins at large N, sparse at "
-        "N >> 10k",
+        help="CDS backend: scalar (scratch below 48 hosts, delta above), "
+        "delta (the packed-word incremental pipeline at any size), or "
+        "sparse (the incremental CSR pipeline) — bit-identical results; "
+        "delta wins at the paper's N=100, sparse from N~1000",
     )
     l.add_argument(
         "--memory-budget-mb", type=float, default=None, metavar="MB",
-        help="chunking budget for the vectorized/sparse engines "
+        help="chunking budget for the sparse engine "
         "(bit-identical at any positive value; default: "
         "REPRO_MEMORY_BUDGET_MB or 64)",
     )
@@ -112,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-batch-cells", action="store_true",
         help="force per-trial shards even on the batched backends "
         "(default: each scheme's trials run as one stacked engine pass "
-        "when the backend is vectorized/sparse; results are identical)",
+        "when the backend is sparse; results are identical)",
     )
 
     f = sub.add_parser("figure", help="regenerate a paper figure")
@@ -138,19 +132,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     f.add_argument(
         "--backend", default="scalar", choices=list(EXECUTION_BACKENDS),
-        help="CDS backend per shard (bit-identical results; use vectorized "
-        "for N >> 100 sweeps, sparse for N >> 10k)",
+        help="CDS backend per shard (bit-identical results; use sparse "
+        "for N >= 1000 sweeps)",
     )
     f.add_argument(
         "--memory-budget-mb", type=float, default=None, metavar="MB",
-        help="chunking budget for the vectorized/sparse engines "
+        help="chunking budget for the sparse engine "
         "(bit-identical at any positive value)",
     )
     f.add_argument(
         "--no-batch-cells", action="store_true",
         help="force per-trial shards even on the batched backends "
         "(default: each cell's trials run as one stacked engine pass "
-        "when the backend is vectorized/sparse; results are identical)",
+        "when the backend is sparse; results are identical)",
     )
     f.add_argument(
         "--density-scaled", action="store_true",
@@ -257,12 +251,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pr.add_argument(
         "--memory-budget-mb", type=float, default=None, metavar="MB",
-        help="chunking budget for the vectorized/sparse engines",
+        help="chunking budget for the sparse engine",
     )
     pr.add_argument(
         "--density-scaled", action="store_true",
         help="grow the arena side as 100*sqrt(N/100) — pair with "
-        "--hosts 10000 --backend vectorized to profile the 10k family",
+        "--hosts 10000 --backend sparse to profile the 10k family",
     )
     pr.add_argument(
         "--algorithm", default="wu_li", choices=algorithm_names(),
@@ -376,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     s.add_argument(
         "--memory-budget-mb", type=float, default=None, metavar="MB",
-        help="chunking budget for the vectorized/sparse engines "
+        help="chunking budget for the sparse engine "
         "(bit-identical at any positive value; default: "
         "REPRO_MEMORY_BUDGET_MB or 64)",
     )
@@ -420,7 +414,6 @@ def _cmd_lifespan(args) -> int:
                 n_hosts=args.hosts,
                 scheme=scheme,
                 drain_model=args.drain,
-                incremental=False if args.scratch else None,
                 shadow_check=args.shadow_check,
                 backend=args.backend,
                 algorithm=args.algorithm,
@@ -434,7 +427,7 @@ def _cmd_lifespan(args) -> int:
         checkpoint=args.resume,
         progress=progress_printer(),
     )
-    batch = args.backend in ("vectorized", "sparse") and not args.no_batch_cells
+    batch = batches_cells(args.backend) and not args.no_batch_cells
     run = executor.run_batched if batch else executor.run
     outcome = run(cells, args.trials, root_seed=args.seed)
     rows = []
@@ -527,8 +520,8 @@ def _cmd_compare(args) -> int:
             flags.append("2-conn")
         if algo.supports_delta:
             flags.append("delta")
-        if algo.supports_vectorized:
-            flags.append("vec")
+        if algo.supports_sparse:
+            flags.append("sparse")
         rows.append(
             [
                 name,

@@ -10,7 +10,9 @@ Public surface:
 * :func:`repro.core.cds.compute_cds` — one-call facade returning a
   :class:`repro.core.cds.CDSResult`,
 * :mod:`repro.core.properties` — domination/connectivity/Property-3 checks,
-* :mod:`repro.core.reduction` — single-pass vs fixed-point pipelines.
+* :mod:`repro.core.reduction` — single-pass vs fixed-point pipelines,
+* :func:`repro.core.pipeline.make_pipeline` — the per-interval pipeline
+  for an (algorithm, backend) choice.
 """
 
 from repro.core.priority import (
@@ -32,16 +34,15 @@ from repro.core.rule_k import compute_cds_rule_k, rule_k_pass
 from repro.core.components_cds import compute_cds_per_component
 from repro.core.vectorized import (
     BatchCDSEngine,
-    VectorizedCDSPipeline,
     compute_cds_batch,
     compute_cds_rule_k_batch,
 )
 from repro.core.sparse import (
     CSRBatch,
     SparseCDSEngine,
-    SparseCDSPipeline,
     compute_cds_sparse,
 )
+from repro.core.pipeline import make_pipeline, validate_energy
 from repro.core.unidirectional import (
     compute_directed_cds,
     directed_marking,
@@ -90,8 +91,8 @@ __all__ = [
     "BatchCDSEngine",
     "CSRBatch",
     "SparseCDSEngine",
-    "SparseCDSPipeline",
-    "VectorizedCDSPipeline",
+    "make_pipeline",
+    "validate_energy",
     "compute_cds_sparse",
     "compute_cds_batch",
     "compute_cds_rule_k_batch",

@@ -19,11 +19,10 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro import obs
-from repro.core.marking import marked_mask, marking_trivially_empty
+from repro.core.marking import marked_mask
+from repro.core.pipeline import check_result, validate_energy
 from repro.core.priority import PriorityScheme, scheme_by_name
-from repro.core.properties import verify_cds
 from repro.core.reduction import PruneStats, prune
-from repro.errors import ConfigurationError
 from repro.graphs import bitset
 from repro.types import SupportsNeighborhoods
 
@@ -91,7 +90,8 @@ def compute_cds(
         ``"nr" | "id" | "nd" | "el1" | "el2"`` or a
         :class:`~repro.core.priority.PriorityScheme`.
     energy:
-        Per-node energy levels; required for the EL schemes.
+        Per-node energy levels; required for the EL schemes, and every
+        level must be finite (:func:`repro.core.pipeline.validate_energy`).
     fixed_point:
         Iterate the rule passes to a fixed point instead of the paper's
         single pass.
@@ -104,14 +104,7 @@ def compute_cds(
     adj = graph.adjacency if hasattr(graph, "adjacency") else graph
     adj = list(adj)
     sch = scheme_by_name(scheme) if isinstance(scheme, str) else scheme
-    if sch.needs_energy and energy is None:
-        raise ConfigurationError(
-            f"scheme {sch.name!r} ranks by energy level; pass energy="
-        )
-    if energy is not None and len(energy) != len(adj):
-        raise ConfigurationError(
-            f"energy has {len(energy)} entries for {len(adj)} nodes"
-        )
+    validate_energy(sch, energy, len(adj))
 
     with obs.span("cds"):
         marked = marked_mask(adj)
@@ -119,14 +112,5 @@ def compute_cds(
         result = CDSResult(
             scheme=sch.name, gateway_mask=final, n=len(adj), stats=stats
         )
-        # An empty mask is legitimate only where the marking process is
-        # *defined* to return nothing (complete graphs, n <= 2).  Anywhere
-        # else an empty result is a pipeline bug that verify_cds must flag —
-        # gating on `final` alone silently accepted every empty mask.
-        if verify and (final or not marking_trivially_empty(adj)):
-            with obs.span("verify"):
-                verify_cds(adj, final, context=f"scheme={sch.name}")
-        if obs.enabled():
-            obs.count("cds.computed")
-            obs.add("cds.size", result.size)
+        check_result(result, adj, energy, scheme=sch, verify=verify)
     return result

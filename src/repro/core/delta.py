@@ -36,10 +36,11 @@ as the scratch engine's runtime re-check does), which makes the tables a
 pure function of topology + keys and therefore cacheable.
 
 :class:`DeltaCDSPipeline` glues the layers together and is what
-:func:`repro.simulation.interval.run_interval` uses when
-``SimulationConfig.incremental`` is on.  It is correct-by-equivalence: the
-gateway mask (and ``PruneStats``) is bit-identical to the scratch path on
-every interval — pinned by the hypothesis property in
+:func:`repro.simulation.interval.run_interval` uses for the ``delta``
+backend and for ``scalar`` at or above :data:`INCREMENTAL_MIN_HOSTS`
+(:func:`repro.core.pipeline.make_pipeline`).  It is correct by
+equivalence: the gateway mask (and ``PruneStats``) is bit-identical to
+the scratch path on every interval — pinned by the hypothesis property in
 ``tests/property/test_incremental_properties.py``, by ``shadow_check``
 mode, and by the CI smoke job.
 """
@@ -51,17 +52,12 @@ from typing import Sequence
 import numpy as np
 
 from repro import obs
-from repro.core.cds import CDSResult, compute_cds
-from repro.core.marking import (
-    marked_mask,
-    marked_mask_delta,
-    marking_trivially_empty,
-)
+from repro.core.cds import CDSResult
+from repro.core.marking import marked_mask, marked_mask_delta
+from repro.core.pipeline import check_result, validate_energy
 from repro.core.priority import SCHEMES, PriorityScheme, scheme_by_name
-from repro.core.properties import verify_cds
 from repro.core.reduction import PruneStats
 from repro.core.vectorized import pair_index_arrays
-from repro.errors import ConfigurationError, InvariantViolation
 from repro.graphs import bitset
 
 __all__ = [
@@ -91,8 +87,8 @@ def changed_row_flags(rows, prev_rows) -> "np.ndarray":
 #: passes carry fixed per-call numpy overheads that only amortize once the
 #: pure-python pair loops they replace grow past them (crossover measured
 #: at n ≈ 45 on the Figure-11 workload; see bench_incremental.py).
-#: Callers that choose between the paths per network size (the lifespan
-#: simulator) consult this; the pipeline itself works at any size.
+#: :func:`repro.core.pipeline.make_pipeline` consults this for the
+#: ``scalar`` backend; the pipeline itself works at any size.
 INCREMENTAL_MIN_HOSTS = 48
 
 _EMPTY_I32 = np.empty(0, dtype=np.int32)
@@ -596,8 +592,9 @@ class DeltaCDSPipeline:
         Assert Properties 1–2 on every result.
     shadow_check:
         Also run the from-scratch pipeline each interval and raise
-        :class:`InvariantViolation` unless the gateway masks are
-        bit-identical (debug / CI equivalence mode; pays for both paths).
+        :class:`InvariantViolation` unless the gateway masks and
+        ``PruneStats`` are bit-identical (debug / CI equivalence mode;
+        pays for both paths).
     """
 
     def __init__(
@@ -633,14 +630,7 @@ class DeltaCDSPipeline:
         adj = graph.adjacency if hasattr(graph, "adjacency") else graph
         n = len(adj)
         sch = self.scheme
-        if sch.needs_energy and energy is None:
-            raise ConfigurationError(
-                f"scheme {sch.name!r} ranks by energy level; pass energy="
-            )
-        if energy is not None and len(energy) != n:
-            raise ConfigurationError(
-                f"energy has {len(energy)} entries for {n} nodes"
-            )
+        validate_energy(sch, energy, n)
 
         with obs.span("cds"):
             engine = self.engine
@@ -695,39 +685,17 @@ class DeltaCDSPipeline:
             result = CDSResult(
                 scheme=sch.name, gateway_mask=final, n=n, stats=stats
             )
-            if self.verify and (
-                final or not marking_trivially_empty(engine.adjacency)
-            ):
-                with obs.span("verify"):
-                    verify_cds(
-                        engine.adjacency,
-                        final,
-                        context=f"delta scheme={sch.name}",
-                    )
-            if self.shadow_check:
-                self._shadow_check(result, energy)
-            if counting:
-                obs.count("cds.computed")
-                obs.add("cds.size", result.size)
+            check_result(
+                result,
+                engine.adjacency,
+                energy,
+                scheme=sch,
+                fixed_point=self.fixed_point,
+                verify=self.verify,
+                shadow_check=self.shadow_check,
+                context="delta",
+            )
 
         self._prev_marked = marked
         self._prev_result = result
         return result
-
-    def _shadow_check(self, result: CDSResult, energy) -> None:
-        with obs.span("shadow"):
-            reference = compute_cds(
-                list(self.engine.adjacency),
-                self.scheme,
-                energy=energy,
-                fixed_point=self.fixed_point,
-            )
-        if obs.enabled():
-            obs.count("delta.shadow_checks")
-        if reference.gateway_mask != result.gateway_mask:
-            raise InvariantViolation(
-                "delta pipeline diverged from scratch pipeline "
-                f"(scheme={self.scheme.name}): delta mask "
-                f"{result.gateway_mask:#x} != scratch mask "
-                f"{reference.gateway_mask:#x}"
-            )

@@ -29,10 +29,11 @@ Capability flags tell the campaign layers what an algorithm can do:
 * ``supports_delta`` — an incremental pipeline exists
   (:class:`repro.core.delta.DeltaCDSPipeline`); only the marking path has
   one, because the 2-hop locality argument is a marking-process theorem;
-* ``supports_vectorized`` — batched numpy kernels exist
-  (:mod:`repro.core.vectorized`); again marking-only today.  The
-  ``scalar``/``vectorized`` entries of :data:`EXECUTION_BACKENDS` are
-  *execution backends of the Wu–Li algorithm*, not algorithms themselves;
+* ``supports_sparse`` — the persistent-CSR incremental sparse pipeline
+  (:mod:`repro.core.sparse_delta`) and the batched CSR engine exist;
+  again marking-only today.  The entries of :data:`EXECUTION_BACKENDS`
+  are *execution backends of the Wu–Li algorithm*, not algorithms
+  themselves;
 * ``connectivity`` — 2 for constructions whose backbone survives the loss
   of any single non-cut-vertex gateway; the service publish gate checks
   exactly that property for them (:class:`repro.service.invariants.
@@ -68,6 +69,7 @@ from repro.baselines.weighted_mcds import zhou_min_weight_cds
 from repro.core.cds import CDSResult, compute_cds
 from repro.core.components_cds import compute_cds_per_component
 from repro.core.marking import marking_trivially_empty
+from repro.core.pipeline import check_result, validate_energy
 from repro.core.priority import PriorityScheme, scheme_by_name
 from repro.core.properties import verify_cds
 from repro.core.reduction import PruneStats
@@ -89,14 +91,10 @@ __all__ = [
 #: evaluated, not which construction runs).  ``SimulationConfig.backend``
 #: validates against this so its error message can never drift from the
 #: actual choices again.  ``scalar`` auto-selects delta-vs-scratch by
-#: host count; ``delta`` forces the incremental pipeline; ``vectorized``
-#: is the dense batch engine; ``sparse`` the streaming CSR engine.
-EXECUTION_BACKENDS: tuple[str, ...] = (
-    "scalar",
-    "delta",
-    "vectorized",
-    "sparse",
-)
+#: host count; ``delta`` forces the incremental pipeline; ``sparse`` is
+#: the incremental CSR pipeline (:func:`repro.core.pipeline.make_pipeline`
+#: holds the rules).
+EXECUTION_BACKENDS: tuple[str, ...] = ("scalar", "delta", "sparse")
 
 #: fn(adjacency, scheme, energy, fixed_point) -> (gateway_mask, stats|None)
 ConstructFn = Callable[
@@ -113,13 +111,8 @@ class CDSAlgorithm:
     fn: ConstructFn = field(repr=False)
     #: incremental (delta) pipeline available for this construction.
     supports_delta: bool = False
-    #: batched numpy kernels available for this construction.
-    supports_vectorized: bool = False
-    #: streaming CSR / per-component kernels available (``backend="sparse"``).
+    #: incremental CSR pipeline + batched CSR engine (``backend="sparse"``).
     supports_sparse: bool = False
-    #: persistent-CSR incremental sparse pipeline available
-    #: (:mod:`repro.core.sparse_delta`; ``backend="sparse"`` + incremental).
-    supports_sparse_delta: bool = False
     #: 2 for constructions that survive any single (non-cut) gateway loss.
     connectivity: int = 1
     #: the priority scheme changes the output (marking family).
@@ -140,18 +133,17 @@ class CDSAlgorithm:
         """Run the construction; always returns a :class:`CDSResult`.
 
         Mirrors :func:`repro.core.cds.compute_cds`: ``graph`` is anything
-        with bitmask ``adjacency`` or a raw mask list; ``energy`` is
-        validated against the node count; ``verify=True`` asserts the CDS
+        with bitmask ``adjacency`` or a raw mask list; a given ``energy``
+        goes through :func:`repro.core.pipeline.validate_energy`;
+        ``verify=True`` asserts the CDS
         invariants (skipped where the marking process legitimately returns
         the empty set).  Disconnected graphs are decomposed per component.
         """
         adj = graph.adjacency if hasattr(graph, "adjacency") else graph
         adj = list(adj)
         sch = scheme_by_name(scheme) if isinstance(scheme, str) else scheme
-        if energy is not None and len(energy) != len(adj):
-            raise ConfigurationError(
-                f"energy has {len(energy)} entries for {len(adj)} nodes"
-            )
+        if energy is not None:
+            validate_energy(sch, energy, len(adj))
         with obs.span("cds_algorithm"):
             if is_connected(adj):
                 mask, stats = self.fn(adj, sch, energy, fixed_point)
@@ -165,9 +157,7 @@ class CDSAlgorithm:
             )
             if verify and (mask or not marking_trivially_empty(adj)):
                 self._verify(adj, mask)
-            if obs.enabled():
-                obs.count("cds.computed")
-                obs.add("cds.size", result.size)
+            check_result(result, adj, energy, scheme=sch)
         return result
 
     def _per_component(
@@ -249,9 +239,7 @@ def register_algorithm(
     *,
     name: str,
     supports_delta: bool = False,
-    supports_vectorized: bool = False,
     supports_sparse: bool = False,
-    supports_sparse_delta: bool = False,
     connectivity: int = 1,
     uses_scheme: bool = False,
     uses_energy: bool = False,
@@ -268,9 +256,7 @@ def register_algorithm(
             name=name,
             fn=fn,
             supports_delta=supports_delta,
-            supports_vectorized=supports_vectorized,
             supports_sparse=supports_sparse,
-            supports_sparse_delta=supports_sparse_delta,
             connectivity=connectivity,
             uses_scheme=uses_scheme,
             uses_energy=uses_energy,
@@ -339,15 +325,13 @@ class AlgorithmPipeline:
 @register_algorithm(
     name="wu_li",
     supports_delta=True,
-    supports_vectorized=True,
     supports_sparse=True,
-    supports_sparse_delta=True,
     uses_scheme=True,
     uses_energy=True,
     description=(
         "the paper's marking process + Rule 1/2 pruning under the "
-        "configured priority scheme (scalar, delta, vectorized, and "
-        "sparse execution backends)"
+        "configured priority scheme (scalar, delta, and sparse execution "
+        "backends)"
     ),
 )
 def _wu_li(adj, scheme, energy, fixed_point):

@@ -27,8 +27,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.core.marking import marked_mask
+from repro.core.pipeline import validate_energy
 from repro.core.priority import PriorityScheme, scheme_by_name
-from repro.errors import ConfigurationError
 from repro.graphs import bitset
 from repro.graphs.neighborhoods import degree_sequence
 from repro.types import SupportsNeighborhoods
@@ -126,8 +126,7 @@ def compute_cds_rule_k(
     adj = graph.adjacency if hasattr(graph, "adjacency") else graph
     adj = list(adj)
     sch = scheme_by_name(scheme) if isinstance(scheme, str) else scheme
-    if sch.needs_energy and energy is None:
-        raise ConfigurationError(f"scheme {sch.name!r} needs energy levels")
+    validate_energy(sch, energy, len(adj))
     marked = marked_mask(adj)
     if sch.uses_rules:
         marked = rule_k_pass(adj, marked, sch, energy)

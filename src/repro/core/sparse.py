@@ -68,15 +68,13 @@ import numpy as np
 
 from repro import obs
 from repro.core.cds import CDSResult
-from repro.core.marking import marking_trivially_empty
+from repro.core.pipeline import check_result, validate_energy
 from repro.core.priority import PriorityScheme, scheme_by_name
-from repro.core.properties import verify_cds
 from repro.core.reduction import PruneStats
 from repro.core.vectorized import (
     BatchCDSEngine,
     _I32MAX,
     _scatter_any,
-    _validate_energy,
     chunk_bits,
     chunk_words,
     edge_table,
@@ -86,7 +84,7 @@ from repro.core.vectorized import (
     resolve_memory_budget_mb,
     words_for,
 )
-from repro.errors import ConfigurationError, InvariantViolation
+from repro.errors import ConfigurationError
 
 __all__ = [
     "DENSE_COMPONENT_CUTOFF",
@@ -96,7 +94,6 @@ __all__ = [
     "unit_disk_edge_lists",
     "SparseCDSEngine",
     "compute_cds_sparse",
-    "SparseCDSPipeline",
 ]
 
 #: components at or below this size run as dense sub-batches; above it the
@@ -847,7 +844,7 @@ def compute_cds_sparse(
     if B == 0:
         return []
     n = len(adjs[0])
-    energy_arr = _validate_energy(sch, energies, B, n)
+    energy_arr = validate_energy(sch, energies, (B, n))
     csr = CSRBatch.from_adjacency(adjs, memory_budget_mb=memory_budget_mb)
     engine = SparseCDSEngine(
         sch,
@@ -862,138 +859,8 @@ def compute_cds_sparse(
         result = CDSResult(
             scheme=sch.name, gateway_mask=masks[b], n=n, stats=stats[b]
         )
-        if verify and (masks[b] or not marking_trivially_empty(adjs[b])):
-            verify_cds(adjs[b], masks[b], context=f"sparse scheme={sch.name}")
+        check_result(
+            result, adjs[b], None, scheme=sch, verify=verify, context="sparse"
+        )
         results.append(result)
     return results
-
-
-class SparseCDSPipeline:
-    """Per-interval pipeline on the sparse engine (batch width 1).
-
-    Duck-type compatible with the delta/vectorized pipelines
-    (``compute(graph, energy=...)`` / ``reset()``) so ``run_interval``
-    swaps it in through the same socket.  Recomputes from scratch every
-    interval, except that an interval whose adjacency rows *and*
-    quantized-energy fingerprint both match the previous one
-    short-circuits to the cached result (the same fingerprint pair
-    :class:`repro.core.delta.DeltaCDSPipeline` checks) — quantization
-    follows ``scheme.quantum``, exactly what ``PriorityScheme.key``
-    applies, so an unchanged fingerprint implies unchanged keys for any
-    scheme.  For incremental recomputation of *changed* intervals see
-    :class:`repro.core.sparse_delta.IncrementalSparseCDSPipeline`.
-    """
-
-    def __init__(
-        self,
-        scheme: str | PriorityScheme,
-        *,
-        fixed_point: bool = False,
-        verify: bool = False,
-        shadow_check: bool = False,
-        memory_budget_mb: float | None = None,
-    ):
-        self.scheme = (
-            scheme_by_name(scheme) if isinstance(scheme, str) else scheme
-        )
-        self.fixed_point = fixed_point
-        self.verify = verify
-        self.shadow_check = shadow_check
-        self.engine = SparseCDSEngine(
-            self.scheme,
-            fixed_point=fixed_point,
-            memory_budget_mb=memory_budget_mb,
-        )
-        self._prev_adj: list[int] | None = None
-        self._prev_ekey: bytes | None = None
-        self._prev_result: CDSResult | None = None
-
-    def reset(self) -> None:
-        """Drop the short-circuit fingerprints (next compute runs fully)."""
-        self._prev_adj = None
-        self._prev_ekey = None
-        self._prev_result = None
-
-    def _energy_fingerprint(self, energy) -> bytes | None:
-        if energy is None:
-            return None
-        e = np.asarray(energy, dtype=np.float64)
-        q = self.scheme.quantum
-        qe = np.rint(e / q) * q if q is not None else e
-        return qe.tobytes()
-
-    def compute(
-        self, graph, energy: Sequence[float] | None = None
-    ) -> CDSResult:
-        """The sparse equivalent of :func:`compute_cds` (one element)."""
-        adj_src = graph.adjacency if hasattr(graph, "adjacency") else graph
-        n = len(adj_src)
-        sch = self.scheme
-        if sch.needs_energy and energy is None:
-            raise ConfigurationError(
-                f"scheme {sch.name!r} ranks by energy level; pass energy="
-            )
-        if energy is not None and len(energy) != n:
-            raise ConfigurationError(
-                f"energy has {len(energy)} entries for {n} nodes"
-            )
-        ekey = self._energy_fingerprint(energy)
-        if (
-            self._prev_result is not None
-            and len(self._prev_adj) == n
-            and self._prev_ekey == ekey
-            and not np.not_equal(
-                np.asarray(adj_src, dtype=object),
-                np.asarray(self._prev_adj, dtype=object),
-            ).any()
-        ):
-            # unchanged rows + unchanged quantized energies: the rebuild
-            # would reproduce the previous interval bit for bit, and the
-            # defensive row copy below is skipped along with it
-            if obs.enabled():
-                obs.count("scds.short_circuit")
-                obs.count("cds.computed")
-                obs.add("cds.size", self._prev_result.size)
-            return self._prev_result
-        adj = list(adj_src)
-        with obs.span("cds"):
-            csr = CSRBatch.from_adjacency(
-                [adj], memory_budget_mb=self.engine.memory_budget_mb
-            )
-            energy_arr = None
-            if energy is not None:
-                energy_arr = np.asarray(energy, dtype=np.float64)[None, :]
-            flags, stats = self.engine.run(csr, energy_arr)
-            mask = flags_to_masks(flags)[0]
-            result = CDSResult(
-                scheme=sch.name, gateway_mask=mask, n=n, stats=stats[0]
-            )
-            if self.verify and (mask or not marking_trivially_empty(adj)):
-                with obs.span("verify"):
-                    verify_cds(
-                        adj, mask, context=f"sparse scheme={sch.name}"
-                    )
-            if self.shadow_check:
-                self._shadow_check(adj, result, energy)
-            if obs.enabled():
-                obs.count("cds.computed")
-                obs.add("cds.size", result.size)
-        self._prev_adj = adj
-        self._prev_ekey = ekey
-        self._prev_result = result
-        return result
-
-    def _shadow_check(self, adj, result: CDSResult, energy) -> None:
-        from repro.core.cds import compute_cds
-
-        with obs.span("shadow"):
-            reference = compute_cds(
-                adj, self.scheme, energy=energy, fixed_point=self.fixed_point
-            )
-        if reference.gateway_mask != result.gateway_mask:
-            raise InvariantViolation(
-                "sparse pipeline diverged from scratch pipeline "
-                f"(scheme={self.scheme.name}): sparse mask "
-                f"{result.gateway_mask:#x} != scratch mask "
-                f"{reference.gateway_mask:#x}"
-            )

@@ -1,10 +1,10 @@
 """Incremental sparse CDS pipeline: persistent CSR + dirty components.
 
-:class:`repro.core.sparse.SparseCDSPipeline` rebuilds its CSR and
-recomputes every component from scratch each interval, so mobility pays
-the full N=100k cost even when a handful of hosts moved (ROADMAP item 1).
-This module keeps the :class:`~repro.core.sparse.CSRBatch` alive across
-intervals and recomputes only what a change can reach:
+Rebuilding the CSR and recomputing every component from scratch each
+interval (:func:`repro.core.sparse.compute_cds_sparse`) pays the full
+N=100k cost even when a handful of hosts moved.  This module keeps the
+:class:`~repro.core.sparse.CSRBatch` alive across intervals and
+recomputes only what a change can reach:
 
 1. **CSR patching.**  For geometric inputs (anything with ``positions``
    and ``radius``, i.e. :class:`~repro.graphs.adhoc.AdHocNetwork`), the
@@ -51,8 +51,8 @@ intervals and recomputes only what a change can reach:
 Aggregation replays the engine's own rule: removal counts sum over
 components, ``rounds`` is the max, floored at one for rule-running
 schemes.  The result — gateway mask *and* ``PruneStats`` — is
-bit-identical to the stateless sparse pipeline (and hence to
-:func:`repro.core.cds.compute_cds`), pinned by hypothesis properties
+bit-identical to a fresh :func:`repro.core.sparse.compute_cds_sparse`
+on the same snapshot (and hence to :func:`repro.core.cds.compute_cds`), pinned by hypothesis properties
 over random move/churn sequences in
 ``tests/property/test_sparse_delta_properties.py``.
 
@@ -72,9 +72,8 @@ import numpy as np
 from repro import obs
 from repro.core.cds import CDSResult
 from repro.core.delta import changed_row_flags
-from repro.core.marking import marking_trivially_empty
+from repro.core.pipeline import check_result, validate_energy
 from repro.core.priority import SCHEMES, PriorityScheme, scheme_by_name
-from repro.core.properties import verify_cds
 from repro.core.reduction import PruneStats
 from repro.core.sparse import (
     CSRBatch,
@@ -82,7 +81,6 @@ from repro.core.sparse import (
     unit_disk_edge_lists,
 )
 from repro.core.vectorized import chunk_words, flags_to_masks
-from repro.errors import ConfigurationError, InvariantViolation
 
 __all__ = ["IncrementalSparseCDSPipeline", "sub_csr"]
 
@@ -114,16 +112,16 @@ def sub_csr(csr: CSRBatch, nodes: np.ndarray) -> CSRBatch:
 class IncrementalSparseCDSPipeline:
     """Persistent-CSR, dirty-component sparse pipeline (batch width 1).
 
-    Duck-type compatible with the delta/vectorized/sparse pipelines
+    Duck-type compatible with :class:`repro.core.delta.DeltaCDSPipeline`
     (``compute(graph, energy=...)`` / ``reset()``) so ``run_interval``
     and the service swap it in through the same socket.  Selected by
-    ``SimulationConfig(backend="sparse")`` whenever ``incremental``
-    resolves to True (the default).
+    ``backend="sparse"`` (:func:`repro.core.pipeline.make_pipeline`).
 
-    Parameters match :class:`~repro.core.sparse.SparseCDSPipeline`;
-    ``shadow_check`` cross-checks every interval against the scalar
-    oracle (debug/CI mode — it materializes the Python-int adjacency, so
-    it defeats the point at 100k but pins equivalence at test scale).
+    Parameters match :class:`~repro.core.delta.DeltaCDSPipeline` plus
+    the engine's ``memory_budget_mb``; ``shadow_check`` cross-checks
+    every interval against the scalar oracle (debug/CI mode — it
+    materializes the Python-int adjacency, so it defeats the point at
+    100k but pins equivalence at test scale).
     """
 
     def __init__(
@@ -301,7 +299,7 @@ class IncrementalSparseCDSPipeline:
     def compute(
         self, graph, energy: Sequence[float] | None = None
     ) -> CDSResult:
-        """The incremental equivalent of the stateless sparse compute."""
+        """The incremental equivalent of :func:`compute_cds_sparse`."""
         geo = hasattr(graph, "positions") and hasattr(graph, "radius")
         if geo:
             pos = np.asarray(graph.positions, dtype=np.float64)
@@ -314,19 +312,7 @@ class IncrementalSparseCDSPipeline:
             )
             n = len(rows_src)
         sch = self.scheme
-        if sch.needs_energy and energy is None:
-            raise ConfigurationError(
-                f"scheme {sch.name!r} ranks by energy level; pass energy="
-            )
-        if energy is not None and len(energy) != n:
-            raise ConfigurationError(
-                f"energy has {len(energy)} entries for {n} nodes"
-            )
-        energy_arr = (
-            np.asarray(energy, dtype=np.float64)
-            if energy is not None
-            else None
-        )
+        energy_arr = validate_energy(sch, energy, n)
         if n == 0:
             rounds = 1 if sch.uses_rules else 0
             return CDSResult(
@@ -466,20 +452,25 @@ class IncrementalSparseCDSPipeline:
         self._ekey = self._energy_fingerprint(energy_arr)
         self._refresh_key_cache(energy_arr)
         self._prev_result = result
-        if self.verify or self.shadow_check:
-            adj = self._adjacency_rows(graph)
-            if self.verify and (
-                mask or not marking_trivially_empty(adj)
-            ):
-                with obs.span("verify"):
-                    verify_cds(
-                        adj, mask, context=f"sparse-delta scheme={sch.name}"
-                    )
-            if self.shadow_check:
-                self._shadow_check(adj, result, energy_arr)
         if obs.enabled():
-            obs.count("cds.computed")
-            obs.add("cds.size", result.size)
+            # the same whole-snapshot totals SparseCDSEngine.run reports
+            obs.add("scds.marked", initial)
+            obs.add("scds.final", int(self._flags.sum()))
+            obs.add("scds.rounds", rounds)
+        check_result(
+            result,
+            (
+                self._adjacency_rows(graph)
+                if self.verify or self.shadow_check
+                else None
+            ),
+            energy_arr,
+            scheme=sch,
+            fixed_point=self.fixed_point,
+            verify=self.verify,
+            shadow_check=self.shadow_check,
+            context="sparse-delta",
+        )
         return result
 
     def _adjacency_rows(self, graph) -> list[int]:
@@ -487,24 +478,3 @@ class IncrementalSparseCDSPipeline:
         if self._mode == "adj":
             return self._rows
         return list(graph.adjacency)
-
-    def _shadow_check(self, adj, result: CDSResult, energy_arr) -> None:
-        from repro.core.cds import compute_cds
-
-        with obs.span("shadow"):
-            reference = compute_cds(
-                adj,
-                self.scheme,
-                energy=energy_arr,
-                fixed_point=self.fixed_point,
-            )
-        if (
-            reference.gateway_mask != result.gateway_mask
-            or reference.stats != result.stats
-        ):
-            raise InvariantViolation(
-                "incremental sparse pipeline diverged from scratch "
-                f"(scheme={self.scheme.name}): mask "
-                f"{result.gateway_mask:#x} stats {result.stats} != scratch "
-                f"mask {reference.gateway_mask:#x} stats {reference.stats}"
-            )

@@ -56,8 +56,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from repro.core.pipeline import validate_energy
 from repro.core.priority import PriorityScheme, scheme_by_name
-from repro.errors import ConfigurationError
 from repro.graphs import bitset
 from repro.graphs.digraph import DirectedView
 
@@ -209,8 +209,7 @@ def compute_directed_cds(
     non-trivial inputs).
     """
     sch = scheme_by_name(scheme) if isinstance(scheme, str) else scheme
-    if sch.needs_energy and energy is None:
-        raise ConfigurationError(f"scheme {sch.name!r} needs energy levels")
+    validate_energy(sch, energy, view.n)
     marked = directed_marking(view)
     if sch.uses_rules:
         marked = directed_rule1_pass(view, marked, sch, energy)

@@ -73,11 +73,10 @@ import numpy as np
 
 from repro import obs
 from repro.core.cds import CDSResult
-from repro.core.marking import marking_trivially_empty
+from repro.core.pipeline import check_result, validate_energy
 from repro.core.priority import SCHEMES, PriorityScheme, scheme_by_name
-from repro.core.properties import verify_cds
 from repro.core.reduction import PruneStats
-from repro.errors import ConfigurationError, InvariantViolation
+from repro.errors import ConfigurationError
 
 __all__ = [
     "words_for",
@@ -97,7 +96,6 @@ __all__ = [
     "BatchCDSEngine",
     "compute_cds_batch",
     "compute_cds_rule_k_batch",
-    "VectorizedCDSPipeline",
 ]
 
 _U64_1 = np.uint64(1)
@@ -695,26 +693,6 @@ class BatchCDSEngine:
             return current.reshape(B, n), stats
 
 
-def _validate_energy(
-    sch: PriorityScheme,
-    energies,
-    B: int,
-    n: int,
-) -> np.ndarray | None:
-    if sch.needs_energy and energies is None:
-        raise ConfigurationError(
-            f"scheme {sch.name!r} ranks by energy level; pass energies="
-        )
-    if energies is None:
-        return None
-    arr = np.asarray(energies, dtype=np.float64)
-    if arr.shape != (B, n):
-        raise ConfigurationError(
-            f"energies has shape {arr.shape} for a ({B}, {n}) batch"
-        )
-    return arr
-
-
 def compute_cds_batch(
     adjacencies: Sequence[Sequence[int]],
     scheme: str | PriorityScheme = "id",
@@ -740,7 +718,7 @@ def compute_cds_batch(
     if B == 0:
         return []
     n = len(adjs[0])
-    energy_arr = _validate_energy(sch, energies, B, n)
+    energy_arr = validate_energy(sch, energies, (B, n))
     packed = pack_batch(adjs)
     engine = BatchCDSEngine(
         sch, fixed_point=fixed_point, memory_budget_mb=memory_budget_mb
@@ -752,8 +730,10 @@ def compute_cds_batch(
         result = CDSResult(
             scheme=sch.name, gateway_mask=masks[b], n=n, stats=stats[b]
         )
-        if verify and (masks[b] or not marking_trivially_empty(adjs[b])):
-            verify_cds(adjs[b], masks[b], context=f"vectorized scheme={sch.name}")
+        check_result(
+            result, adjs[b], None, scheme=sch, verify=verify,
+            context="dense-batch",
+        )
         results.append(result)
     return results
 
@@ -780,7 +760,7 @@ def compute_cds_rule_k_batch(
     if B == 0:
         return []
     n = len(adjs[0])
-    energy_arr = _validate_energy(sch, energies, B, n)
+    energy_arr = validate_energy(sch, energies, (B, n))
     packed = pack_batch(adjs)
     engine = BatchCDSEngine(sch)
     W = packed.shape[2]
@@ -826,89 +806,3 @@ def compute_cds_rule_k_batch(
                 removed[r] = True
     final = (marked & ~removed).reshape(B, n)
     return [frozenset(np.flatnonzero(final[b]).tolist()) for b in range(B)]
-
-
-class VectorizedCDSPipeline:
-    """Per-interval pipeline on the batched kernels (batch width 1).
-
-    Duck-type compatible with :class:`repro.core.delta.DeltaCDSPipeline`
-    (``compute(graph, energy=...)`` / ``reset()``), so
-    :func:`repro.simulation.interval.run_interval` can swap it in via the
-    same ``pipeline=`` socket.  Stateless across intervals: every call
-    packs the current adjacency and runs the full batch engine — the win
-    is kernel width, not incrementality, which is the right trade at
-    n ≳ 1000 where the scalar passes dominate.
-    """
-
-    def __init__(
-        self,
-        scheme: str | PriorityScheme,
-        *,
-        fixed_point: bool = False,
-        verify: bool = False,
-        shadow_check: bool = False,
-        memory_budget_mb: float | None = None,
-    ):
-        self.scheme = (
-            scheme_by_name(scheme) if isinstance(scheme, str) else scheme
-        )
-        self.fixed_point = fixed_point
-        self.verify = verify
-        self.shadow_check = shadow_check
-        self.engine = BatchCDSEngine(
-            self.scheme,
-            fixed_point=fixed_point,
-            memory_budget_mb=memory_budget_mb,
-        )
-
-    def reset(self) -> None:
-        """No cached state to drop; present for pipeline-API parity."""
-
-    def compute(self, graph, energy: Sequence[float] | None = None) -> CDSResult:
-        """The vectorized equivalent of :func:`compute_cds` (one element)."""
-        adj = graph.adjacency if hasattr(graph, "adjacency") else graph
-        adj = list(adj)
-        n = len(adj)
-        sch = self.scheme
-        if sch.needs_energy and energy is None:
-            raise ConfigurationError(
-                f"scheme {sch.name!r} ranks by energy level; pass energy="
-            )
-        if energy is not None and len(energy) != n:
-            raise ConfigurationError(
-                f"energy has {len(energy)} entries for {n} nodes"
-            )
-        with obs.span("cds"):
-            packed = pack_adjacency(adj)[None, :, :]
-            energy_arr = None
-            if energy is not None:
-                energy_arr = np.asarray(energy, dtype=np.float64)[None, :]
-            flags, stats = self.engine.run(packed, energy_arr)
-            mask = flags_to_masks(flags)[0]
-            result = CDSResult(
-                scheme=sch.name, gateway_mask=mask, n=n, stats=stats[0]
-            )
-            if self.verify and (mask or not marking_trivially_empty(adj)):
-                with obs.span("verify"):
-                    verify_cds(adj, mask, context=f"vectorized scheme={sch.name}")
-            if self.shadow_check:
-                self._shadow_check(adj, result, energy)
-            if obs.enabled():
-                obs.count("cds.computed")
-                obs.add("cds.size", result.size)
-        return result
-
-    def _shadow_check(self, adj, result: CDSResult, energy) -> None:
-        from repro.core.cds import compute_cds
-
-        with obs.span("shadow"):
-            reference = compute_cds(
-                adj, self.scheme, energy=energy, fixed_point=self.fixed_point
-            )
-        if reference.gateway_mask != result.gateway_mask:
-            raise InvariantViolation(
-                "vectorized pipeline diverged from scratch pipeline "
-                f"(scheme={self.scheme.name}): vectorized mask "
-                f"{result.gateway_mask:#x} != scratch mask "
-                f"{reference.gateway_mask:#x}"
-            )

@@ -470,8 +470,8 @@ class SweepExecutor:
         Every still-missing trial of a cell is executed in a single
         :func:`repro.simulation.batch_lifespan.run_lifespan_batch` call —
         one stacked engine pass per update interval instead of one
-        process-pool task per trial — which is where the vectorized and
-        sparse backends earn their keep in figure campaigns.
+        process-pool task per trial — which is where the sparse backend
+        earns its keep in figure campaigns.
 
         Checkpoint interop is total: shards are keyed identically to
         :meth:`run` (one record per trial, same

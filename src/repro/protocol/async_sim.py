@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import obs
+from repro.core.pipeline import validate_energy
 from repro.core.priority import PriorityScheme, scheme_by_name
 from repro.errors import (
     ChannelError,
@@ -206,9 +207,8 @@ def _run_async_cds_impl(
     realization = fault_plan.realize() if fault_plan is not None else None
     adj = list(graph.adjacency)
     n = len(adj)
-    if sch.needs_energy and energy is None:
-        raise ConfigurationError(f"scheme {sch.name!r} needs energy levels")
-    levels = [0.0] * n if energy is None else [float(e) for e in energy]
+    arr = validate_energy(sch, energy, n)
+    levels = [0.0] * n if arr is None else arr.tolist()
 
     hosts = [
         _AsyncHost(

@@ -25,8 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.pipeline import validate_energy
 from repro.core.priority import PriorityScheme, scheme_by_name
-from repro.errors import ConfigurationError
 from repro.graphs import bitset
 from repro.protocol.network_sim import SyncNetwork, TrafficStats
 from repro.protocol.node_agent import NodeAgent
@@ -57,11 +57,8 @@ def distributed_cds(
     sch = scheme_by_name(scheme) if isinstance(scheme, str) else scheme
     adj = list(graph.adjacency)
     n = len(adj)
-    if sch.needs_energy and energy is None:
-        raise ConfigurationError(f"scheme {sch.name!r} needs energy levels")
-    levels = [0.0] * n if energy is None else [float(e) for e in energy]
-    if len(levels) != n:
-        raise ConfigurationError(f"energy has {len(levels)} entries for {n} nodes")
+    arr = validate_energy(sch, energy, n)
+    levels = [0.0] * n if arr is None else arr.tolist()
 
     net = SyncNetwork(adj)
     agents = [

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 
+from repro.core.pipeline import validate_energy
 from repro.core.priority import PriorityScheme, scheme_by_name
 from repro.errors import ChannelError, ConfigurationError, NodeCrashError
 from repro.faults.outcome import FaultOutcome, evaluate_surviving
@@ -69,11 +70,8 @@ def run_fault_tolerant_cds(
         raise ConfigurationError(f"max_retries must be >= 0, got {max_retries}")
     adj = list(graph.adjacency)
     n = len(adj)
-    if sch.needs_energy and energy is None:
-        raise ConfigurationError(f"scheme {sch.name!r} needs energy levels")
-    levels = [0.0] * n if energy is None else [float(e) for e in energy]
-    if len(levels) != n:
-        raise ConfigurationError(f"energy has {len(levels)} entries for {n} nodes")
+    arr = validate_energy(sch, energy, n)
+    levels = [0.0] * n if arr is None else arr.tolist()
 
     realization = (plan or FaultPlan()).realize()
     net = SyncNetwork(adj, link_filter=realization.link_event)

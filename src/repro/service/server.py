@@ -41,8 +41,8 @@ from typing import Any, Iterable
 import numpy as np
 
 from repro import obs
-from repro.core.delta import DeltaCDSPipeline
-from repro.core.registry import AlgorithmPipeline, algorithm_by_name
+from repro.core.pipeline import make_pipeline
+from repro.core.registry import algorithm_by_name
 from repro.errors import (
     ConfigurationError,
     DeadlineExceeded,
@@ -121,9 +121,9 @@ class ServiceConfig:
                 f"{self.memory_budget_mb}"
             )
         algo = algorithm_by_name(self.algorithm)  # fail fast with the catalog
-        if self.backend == "sparse" and not algo.supports_sparse_delta:
+        if self.backend == "sparse" and not algo.supports_sparse:
             raise ConfigurationError(
-                f"algorithm {algo.name!r} has no incremental sparse path; "
+                f"algorithm {algo.name!r} has no sparse backend; "
                 "use backend='delta'"
             )
 
@@ -131,20 +131,16 @@ class ServiceConfig:
         """A new pipeline honoring the configured construction.
 
         Called at tenant creation, post-crash recovery, and after a
-        recompute timeout/failure — every site that previously hardcoded
-        ``DeltaCDSPipeline`` — so the choice of algorithm cannot drift
-        between the cold-start and recovery paths.
+        recompute timeout/failure, so the choice of algorithm and backend
+        cannot drift between the cold-start and recovery paths.
+        :func:`repro.core.pipeline.make_pipeline` holds the rules.
         """
-        algo = algorithm_by_name(self.algorithm)
-        if self.backend == "sparse" and algo.supports_sparse_delta:
-            from repro.core.sparse_delta import IncrementalSparseCDSPipeline
-
-            return IncrementalSparseCDSPipeline(
-                scheme, memory_budget_mb=self.memory_budget_mb
-            )
-        if algo.supports_delta:
-            return DeltaCDSPipeline(scheme)
-        return AlgorithmPipeline(algo, scheme)
+        return make_pipeline(
+            self.algorithm,
+            self.backend,
+            scheme,
+            memory_budget_mb=self.memory_budget_mb,
+        )
 
 
 @dataclass(frozen=True)

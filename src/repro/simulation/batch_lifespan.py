@@ -1,12 +1,12 @@
 """Lockstep batched lifespan trials: one array pass per interval.
 
 The sharded executor parallelizes trials across *processes*; this module
-parallelizes them across the *batch axis* of the batched CDS engines
-(:class:`repro.core.vectorized.BatchCDSEngine` or, for
-``config.backend == "sparse"``, :class:`repro.core.sparse.SparseCDSEngine`).
-All still-running trials of a cell advance in lockstep — each interval
-stacks their adjacencies into one batch and runs marking + rules as a
-single numpy pass, then drains energy and roams hosts per trial exactly as
+parallelizes them across the *batch axis* of
+:class:`repro.core.sparse.SparseCDSEngine`.  All still-running trials of a
+cell advance in lockstep — each interval stacks their adjacencies into one
+:class:`~repro.core.sparse.CSRBatch` and runs marking + rules as a single
+numpy pass (components up to the engine's dense cutoff go through its
+dense tier), then drains energy and roams hosts per trial exactly as
 :func:`repro.simulation.interval.run_interval` does.
 
 Bit-identical by construction: every trial owns its
@@ -40,13 +40,12 @@ from typing import Callable, Sequence, TextIO
 import numpy as np
 
 from repro import obs
-from repro.core.cds import CDSResult, compute_cds
-from repro.core.marking import marking_trivially_empty
-from repro.core.properties import verify_cds
+from repro.core.cds import CDSResult
+from repro.core.pipeline import check_result
 from repro.core.registry import algorithm_by_name
 from repro.core.sparse import CSRBatch, SparseCDSEngine
-from repro.core.vectorized import BatchCDSEngine, flags_to_masks, pack_batch
-from repro.errors import ConfigurationError, InvariantViolation, SimulationError
+from repro.core.vectorized import flags_to_masks
+from repro.errors import ConfigurationError, SimulationError
 from repro.graphs import bitset
 from repro.simulation.config import SimulationConfig
 from repro.simulation.lifespan import LifespanResult, LifespanSimulator
@@ -132,10 +131,7 @@ def run_lifespan_batch(
             )
     if trials == 0:
         return []
-    algo = algorithm_by_name(config.algorithm)
-    sparse = config.backend == "sparse"
-    supported = algo.supports_sparse if sparse else algo.supports_vectorized
-    if not supported:
+    if not algorithm_by_name(config.algorithm).supports_sparse:
         # no batched kernels for this construction: fall back to driving
         # the per-trial simulators sequentially on the same rng streams,
         # so results stay index-aligned with the executor's
@@ -150,18 +146,11 @@ def run_lifespan_batch(
         for t in trial_ids
     ]
     scheme = sims[0].scheme
-    if sparse:
-        engine: SparseCDSEngine | BatchCDSEngine = SparseCDSEngine(
-            scheme,
-            fixed_point=config.fixed_point,
-            memory_budget_mb=config.memory_budget_mb,
-        )
-    else:
-        engine = BatchCDSEngine(
-            scheme,
-            fixed_point=config.fixed_point,
-            memory_budget_mb=config.memory_budget_mb,
-        )
+    engine = SparseCDSEngine(
+        scheme,
+        fixed_point=config.fixed_point,
+        memory_budget_mb=config.memory_budget_mb,
+    )
     n = config.n_hosts
 
     records: list[list[IntervalMetrics]] = [[] for _ in range(trials)]
@@ -176,13 +165,10 @@ def run_lifespan_batch(
                 energies = np.stack(
                     [np.asarray(sims[t].bank.levels) for t in alive]
                 )
-            if sparse:
-                csr = CSRBatch.from_adjacency(
-                    adjacencies, memory_budget_mb=config.memory_budget_mb
-                )
-                flags, stats = engine.run(csr, energies)
-            else:
-                flags, stats = engine.run(pack_batch(adjacencies), energies)
+            csr = CSRBatch.from_adjacency(
+                adjacencies, memory_budget_mb=config.memory_budget_mb
+            )
+            flags, stats = engine.run(csr, energies)
             masks = flags_to_masks(flags)
             interval_no += 1
             if obs.enabled():
@@ -198,29 +184,19 @@ def run_lifespan_batch(
                     n=n,
                     stats=stats[k],
                 )
-                adj = sim.network.adjacency
-                if config.verify_invariants and (
-                    masks[k] or not marking_trivially_empty(adj)
-                ):
-                    verify_cds(
-                        adj, masks[k], context=f"batch trial {trial_ids[t]}"
-                    )
-                if config.shadow_check:
-                    energy = (
-                        list(sim.bank.levels) if scheme.needs_energy else None
-                    )
-                    ref = compute_cds(
-                        list(adj),
-                        scheme,
-                        energy=energy,
-                        fixed_point=config.fixed_point,
-                    )
-                    if ref.gateway_mask != masks[k]:
-                        raise InvariantViolation(
-                            f"batched backend diverged from scratch on trial "
-                            f"{trial_ids[t]} interval {len(records[t]) + 1}: "
-                            f"{masks[k]:#x} != {ref.gateway_mask:#x}"
-                        )
+                check_result(
+                    cds,
+                    sim.network.adjacency,
+                    energies[k] if energies is not None else None,
+                    scheme=scheme,
+                    fixed_point=config.fixed_point,
+                    verify=config.verify_invariants,
+                    shadow_check=config.shadow_check,
+                    context=(
+                        f"batch trial {trial_ids[t]} interval "
+                        f"{len(records[t]) + 1}"
+                    ),
+                )
                 drain = sim.accountant.apply(cds.gateway_mask)
                 someone_died = bool(drain.died) or sim.bank.any_dead()
                 topology_changed = False

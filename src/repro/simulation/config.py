@@ -57,39 +57,23 @@ class SimulationConfig:
     fixed_point: bool = False
     #: verify CDS invariants every interval (slow; for debugging).
     verify_invariants: bool = False
-    #: recompute the CDS incrementally across intervals.  ``None`` (the
-    #: default) resolves per backend — see :attr:`effective_incremental`:
-    #: on for ``scalar``/``delta`` (dirty-set marking + cached rule
-    #: engine over packed words) and for ``sparse`` (persistent CSR +
-    #: dirty components, :mod:`repro.core.sparse_delta`); off for
-    #: ``vectorized``, which has no incremental path.  All paths produce
-    #: bit-identical gateway masks — this knob only trades recomputation
-    #: cost.  An *explicit* ``True`` on ``vectorized`` (which would be
-    #: silently ignored) or ``False`` on ``delta`` (which *is* the
-    #: incremental pipeline) raises at construction.  On ``scalar``,
-    #: networks below ``repro.core.delta.INCREMENTAL_MIN_HOSTS`` stay on
-    #: the scratch path regardless (it is faster there).
-    incremental: bool | None = None
-    #: run the scratch pipeline alongside the incremental one every
-    #: interval and raise on any gateway-mask divergence (debug/CI mode;
-    #: pays for both paths; implies nothing unless ``incremental``).
+    #: run the scratch pipeline alongside the backend's pipeline every
+    #: interval and raise on any gateway-mask or ``PruneStats`` divergence
+    #: (debug/CI mode; pays for both paths).
     shadow_check: bool = False
-    #: CDS computation backend: ``scalar`` (the default — scratch or
-    #: delta pipeline per ``incremental``), ``delta`` (force the
-    #: incremental pipeline regardless of host count), ``vectorized``
-    #: (the batched numpy kernels of :mod:`repro.core.vectorized`; built
-    #: for n ≳ 1000 where the scalar paths cap out), or ``sparse`` (the
-    #: streaming CSR / per-component engine of :mod:`repro.core.sparse`;
-    #: built for n ≳ 10k where dense packed rows cap out).  All backends
-    #: produce bit-identical masks.  ``sparse`` honors ``incremental``
-    #: (persistent CSR, dirty-component recomputation); ``vectorized``
-    #: has no incremental path and rejects an explicit
-    #: ``incremental=True``.  ``shadow_check`` still cross-checks
-    #: against the scratch oracle every interval.
+    #: CDS computation backend (:func:`repro.core.pipeline.make_pipeline`
+    #: holds the rules): ``scalar`` (the default — scratch below
+    #: ``repro.core.delta.INCREMENTAL_MIN_HOSTS`` hosts, the delta
+    #: pipeline above), ``delta`` (the delta pipeline at any size), or
+    #: ``sparse`` (the persistent-CSR incremental pipeline of
+    #: :mod:`repro.core.sparse_delta`; built for n ≳ 1000, and the
+    #: backend whose batched figure cells stack trials into one CSR
+    #: engine pass).  All backends produce bit-identical masks and
+    #: ``PruneStats``.
     backend: str = "scalar"
     #: CDS construction algorithm, one of :func:`repro.core.registry.
     #: algorithm_names` — ``wu_li`` is the paper's marking + pruning path
-    #: (the only one with delta/vectorized execution backends); the rest
+    #: (the only one with delta/sparse execution backends); the rest
     #: are the centralized constructions of :mod:`repro.baselines`.
     #: Orthogonal to ``scheme`` (algorithms that ignore the priority key
     #: simply produce the same mask for every scheme) and to ``backend``
@@ -99,7 +83,7 @@ class SimulationConfig:
     max_intervals: int | None = 100_000
     #: non-gateway drain d' (the paper's unit).
     non_gateway_drain: float = 1.0
-    #: chunking budget (MB) for the vectorized/sparse engines' streamed
+    #: chunking budget (MB) for the sparse/dense engines' streamed
     #: table builders — results are bit-identical at any positive value,
     #: only peak temporary memory and speed change.  ``None`` defers to
     #: the ``REPRO_MEMORY_BUDGET_MB`` env var, then the engine default.
@@ -148,57 +132,11 @@ class SimulationConfig:
         # by their registries at simulator construction; doing it here too
         # gives early errors, and sourcing the messages from the registries
         # keeps them from drifting as entries are added
-        from repro.core.registry import EXECUTION_BACKENDS, algorithm_by_name
+        from repro.core.pipeline import require_backend
         from repro.core.priority import scheme_by_name
         from repro.energy.models import drain_model_by_name
 
-        if self.backend not in EXECUTION_BACKENDS:
-            raise ConfigurationError(
-                f"unknown backend {self.backend!r}; choose from "
-                f"{sorted(EXECUTION_BACKENDS)}"
-            )
-        algo = algorithm_by_name(self.algorithm)
-        if self.backend == "vectorized" and not algo.supports_vectorized:
-            raise ConfigurationError(
-                f"algorithm {algo.name!r} has no vectorized backend; "
-                "use backend='scalar'"
-            )
-        if self.backend == "sparse" and not algo.supports_sparse:
-            raise ConfigurationError(
-                f"algorithm {algo.name!r} has no sparse backend; "
-                "use backend='scalar'"
-            )
-        if self.backend == "delta" and not algo.supports_delta:
-            raise ConfigurationError(
-                f"algorithm {algo.name!r} has no delta backend; "
-                "use backend='scalar'"
-            )
-        # the incremental knob must never be silently dropped: explicit
-        # contradictions fail loudly instead of quietly paying (or
-        # skipping) a full rebuild per interval
-        if self.incremental is True and self.backend == "vectorized":
-            raise ConfigurationError(
-                "backend='vectorized' has no incremental path (the knob "
-                "would be silently ignored); use backend='sparse' for "
-                "incremental recomputation at scale, or leave "
-                "incremental unset"
-            )
-        if self.incremental is False and self.backend == "delta":
-            raise ConfigurationError(
-                "backend='delta' is the incremental pipeline; "
-                "incremental=False contradicts it — use backend='scalar' "
-                "for the from-scratch path"
-            )
-        if (
-            self.backend == "sparse"
-            and self.effective_incremental
-            and not algo.supports_sparse_delta
-        ):
-            raise ConfigurationError(
-                f"algorithm {algo.name!r} has no incremental sparse "
-                "path; pass incremental=False for the stateless sparse "
-                "pipeline"
-            )
+        require_backend(self.algorithm, self.backend)
         if self.memory_budget_mb is not None and not self.memory_budget_mb > 0:
             raise ConfigurationError(
                 "memory_budget_mb must be positive or None, got "
@@ -206,19 +144,6 @@ class SimulationConfig:
             )
         scheme_by_name(self.scheme)
         drain_model_by_name(self.drain_model)
-
-    @property
-    def effective_incremental(self) -> bool:
-        """The ``incremental`` knob with ``None`` resolved per backend.
-
-        Every backend except ``vectorized`` has an incremental path, so
-        auto means on — the scalar backend additionally applies its
-        measured ``INCREMENTAL_MIN_HOSTS`` crossover at simulator
-        construction (that cutoff is a speed heuristic, not a capability).
-        """
-        if self.incremental is not None:
-            return self.incremental
-        return self.backend != "vectorized"
 
     def with_overrides(self, **kwargs: Any) -> "SimulationConfig":
         """Functional update (frozen dataclass)."""

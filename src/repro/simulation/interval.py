@@ -59,15 +59,14 @@ def run_interval(
     domination.  (An earlier revision skipped verification for empty
     masks, silently accepting a degenerate selector.)
 
-    ``pipeline`` (a :class:`repro.core.delta.DeltaCDSPipeline`, a
-    vectorized/sparse pipeline, or a
+    ``pipeline`` (whatever :func:`repro.core.pipeline.make_pipeline`
+    returns — a :class:`repro.core.delta.DeltaCDSPipeline` or a
     :class:`repro.core.sparse_delta.IncrementalSparseCDSPipeline`)
     switches the CDS computation off the scratch path: the delta pipeline
-    diffs the network's live adjacency against its cached copy, the
+    diffs the network's live adjacency against its cached copy, and the
     incremental sparse pipeline patches its persistent CSR from the
     network's *positions* (so it never forces the Python adjacency cache
-    to materialize at 100k nodes), and the stateless vectorized/sparse
-    pipelines rebuild from the snapshot — all producing bit-identical
+    to materialize at 100k nodes) — both producing bit-identical
     results.  The pipeline's own
     ``fixed_point``/``verify``/``shadow_check`` settings govern that path
     (the keyword arguments here apply to the scratch path only), so the

@@ -25,12 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import obs
-from repro.core.delta import INCREMENTAL_MIN_HOSTS, DeltaCDSPipeline
+from repro.core.pipeline import make_pipeline
 from repro.core.priority import scheme_by_name
 from repro.core.registry import algorithm_by_name
-from repro.core.sparse import SparseCDSPipeline
-from repro.core.sparse_delta import IncrementalSparseCDSPipeline
-from repro.core.vectorized import VectorizedCDSPipeline
 from repro.energy.accounting import EnergyAccountant
 from repro.energy.battery import BatteryBank
 from repro.energy.models import drain_model_by_name
@@ -81,63 +78,23 @@ class LifespanSimulator:
         self.scheme = scheme_by_name(config.scheme)
         self.drain_model = drain_model_by_name(config.drain_model)
         self.algorithm = algorithm_by_name(config.algorithm)
-        # backend selection.  Non-wu_li algorithms recompute from the live
-        # snapshot every interval (run_interval routes around the marking
-        # pipelines).  For wu_li, "vectorized" swaps in the batched numpy
-        # kernels and "sparse" the streaming CSR engine (both stateless
-        # across intervals; bit-identical masks); "delta" forces the
-        # incremental pipeline regardless of host count.  On "scalar",
-        # the incremental pipeline carries cached state across intervals;
-        # one instance per trial so trials stay independent.  Networks
-        # below the measured crossover stay on the (there faster) scratch
-        # path — unless shadow checking was requested, which needs the
-        # pipeline.
-        if self.algorithm.name != "wu_li":
-            self.pipeline = None
-        elif config.backend == "vectorized" and cds_fn is None:
-            self.pipeline = VectorizedCDSPipeline(
+        # one pipeline per trial so trials stay independent.  A custom
+        # selector bypasses the pipelines, and non-wu_li algorithms
+        # recompute from the live snapshot inside run_interval.
+        self.pipeline = (
+            make_pipeline(
+                self.algorithm,
+                config.backend,
                 self.scheme,
+                n_hosts=config.n_hosts,
                 fixed_point=config.fixed_point,
                 verify=config.verify_invariants,
                 shadow_check=config.shadow_check,
                 memory_budget_mb=config.memory_budget_mb,
             )
-        elif config.backend == "sparse" and cds_fn is None:
-            sparse_cls = (
-                IncrementalSparseCDSPipeline
-                if config.effective_incremental
-                else SparseCDSPipeline
-            )
-            self.pipeline = sparse_cls(
-                self.scheme,
-                fixed_point=config.fixed_point,
-                verify=config.verify_invariants,
-                shadow_check=config.shadow_check,
-                memory_budget_mb=config.memory_budget_mb,
-            )
-        elif config.backend == "delta" and cds_fn is None:
-            self.pipeline = DeltaCDSPipeline(
-                self.scheme,
-                fixed_point=config.fixed_point,
-                verify=config.verify_invariants,
-                shadow_check=config.shadow_check,
-            )
-        else:
-            self.pipeline = (
-                DeltaCDSPipeline(
-                    self.scheme,
-                    fixed_point=config.fixed_point,
-                    verify=config.verify_invariants,
-                    shadow_check=config.shadow_check,
-                )
-                if config.effective_incremental
-                and cds_fn is None
-                and (
-                    config.n_hosts >= INCREMENTAL_MIN_HOSTS
-                    or config.shadow_check
-                )
-                else None
-            )
+            if cds_fn is None and self.algorithm.name == "wu_li"
+            else None
+        )
 
         self.network = random_connected_network(
             config.n_hosts,

@@ -41,10 +41,20 @@ from repro.simulation.metrics import TrialMetrics
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.exec.executor import SweepProgress
 
-__all__ = ["TrialRunner", "run_trials"]
+__all__ = ["TrialRunner", "batches_cells", "run_trials"]
 
 #: the cell name single-config runs are checkpointed under.
 _SINGLE_CELL = "trials"
+
+
+def batches_cells(backend: str) -> bool:
+    """Whether a cell's trials default to one stacked engine pass.
+
+    Only ``sparse`` stacks them (:func:`repro.simulation.batch_lifespan.
+    run_lifespan_batch`); ``batch_cells=False`` / ``--no-batch-cells``
+    opt out.  Results are identical either way.
+    """
+    return backend == "sparse"
 
 
 @dataclass(frozen=True)
@@ -77,8 +87,7 @@ class TrialRunner:
         :meth:`SweepExecutor.run_batched` — all trials advance as ONE
         lockstep batched-engine pass per interval instead of per-trial
         pool tasks (bit-identical metrics, interchangeable checkpoints).
-        ``None`` auto-enables it for the batched backends
-        (``vectorized``/``sparse``).
+        ``None`` defers to :func:`batches_cells`.
         """
         # deferred so ``repro.exec`` and ``repro.simulation`` can be
         # imported in either order (exec's modules import simulation
@@ -86,7 +95,7 @@ class TrialRunner:
         from repro.exec.executor import SweepExecutor
 
         if batch_cells is None:
-            batch_cells = config.backend in ("vectorized", "sparse")
+            batch_cells = batches_cells(config.backend)
         executor = SweepExecutor(
             processes=self.processes,
             start_method=self.start_method,

@@ -102,9 +102,10 @@ class TestBatchedCells:
     ``run_lifespan_batch`` (one stacked engine pass per sweep cell).
     The batched path must be bit-identical to the per-trial path, and
     the auto rule (``batch_cells=None``) must pick batching exactly for
-    the vectorized/sparse backends."""
+    the sparse backend.  Forced batching on another backend still stacks
+    the cell into the CSR engine and must match too."""
 
-    @pytest.mark.parametrize("backend", ["vectorized", "sparse"])
+    @pytest.mark.parametrize("backend", ["delta", "sparse"])
     def test_batched_figure_equals_per_trial(self, backend):
         kwargs = dict(
             n_values=[10, 16], trials=3, schemes=["nd", "el2"],
@@ -138,7 +139,7 @@ class TestBatchedCells:
     def test_figure10_batched_equals_per_trial(self):
         kwargs = dict(
             n_values=[8, 14], trials=3, root_seed=45,
-            parallel=False, backend="vectorized",
+            parallel=False, backend="sparse",
         )
         batched = run_figure10(batch_cells=True, **kwargs)
         per_trial = run_figure10(batch_cells=False, **kwargs)

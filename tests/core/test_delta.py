@@ -127,13 +127,13 @@ class TestShadowCheck:
             net.positions[5] += 15.0
             net.apply_moves([5])
             pipe.compute(net)
-        assert reg.counters["delta.shadow_checks"] == 2
+        assert reg.counters["cds.shadow_checks"] == 2
 
     def test_shadow_check_raises_on_divergence(self, net, monkeypatch):
         pipe = DeltaCDSPipeline("nd", shadow_check=True)
         reference = pipe.compute(net)  # first call: genuine agreement
 
-        import repro.core.delta as delta_mod
+        import repro.core.cds as cds_mod
 
         def corrupted(adj, scheme, **kwargs):
             out = compute_cds(adj, scheme, **kwargs)
@@ -142,12 +142,29 @@ class TestShadowCheck:
             )
             return out
 
-        monkeypatch.setattr(delta_mod, "compute_cds", corrupted)
+        monkeypatch.setattr(cds_mod, "compute_cds", corrupted)
         net.positions[5] += 15.0
         net.apply_moves([5])
         with pytest.raises(InvariantViolation, match="diverged"):
             pipe.compute(net)
         assert reference.gateway_mask  # untouched by the failed interval
+
+    def test_wrong_stats_with_right_mask_raise(self, net, monkeypatch):
+        from dataclasses import replace
+
+        from repro.core.delta import CachedRuleEngine
+
+        pipe = DeltaCDSPipeline("nd", shadow_check=True)
+        real = CachedRuleEngine.run
+
+        def off_by_one(self, marked, **kwargs):
+            final, stats = real(self, marked, **kwargs)
+            # right mask, wrong Rule-2 removal count
+            return final, replace(stats, removed_rule2=stats.removed_rule2 + 1)
+
+        monkeypatch.setattr(CachedRuleEngine, "run", off_by_one)
+        with pytest.raises(InvariantViolation, match="diverged"):
+            pipe.compute(net)
 
 
 class TestCachedRuleEngine:

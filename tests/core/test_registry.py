@@ -2,8 +2,8 @@
 
 The load-bearing test here is the regression pin: routing Wu–Li through
 the registry must be *bit-identical* — gateway mask and PruneStats — to
-calling ``compute_cds`` directly, across all five schemes and all three
-execution backends (scalar scratch, delta pipeline, vectorized kernels).
+calling ``compute_cds`` directly, across all five schemes and the
+scalar scratch path, the delta pipeline and the dense batch kernels.
 The refactor adds a dispatch layer; it must not add a behavior.
 """
 
@@ -24,7 +24,7 @@ from repro.core.registry import (
     algorithm_names,
     register_algorithm,
 )
-from repro.core.vectorized import VectorizedCDSPipeline
+from repro.core.vectorized import compute_cds_batch
 from repro.errors import ConfigurationError
 from repro.graphs import bitset
 from repro.graphs.generators import (
@@ -55,7 +55,7 @@ class TestCatalog:
 
     def test_capability_flags(self):
         wu = ALGORITHMS["wu_li"]
-        assert wu.supports_delta and wu.supports_vectorized and wu.uses_scheme
+        assert wu.supports_delta and wu.supports_sparse and wu.uses_scheme
         assert ALGORITHMS["aneja_2conn"].connectivity == 2
         assert ALGORITHMS["zhou_mwcds"].uses_energy
         for name, algo in ALGORITHMS.items():
@@ -63,13 +63,10 @@ class TestCatalog:
             assert algo.description
             if name != "wu_li":
                 assert not algo.supports_delta
-                assert not algo.supports_vectorized
                 assert not algo.supports_sparse
 
     def test_execution_backends_are_not_algorithms(self):
-        assert set(EXECUTION_BACKENDS) == {
-            "scalar", "delta", "vectorized", "sparse",
-        }
+        assert set(EXECUTION_BACKENDS) == {"scalar", "delta", "sparse"}
         assert not set(EXECUTION_BACKENDS) & set(ALGORITHMS)
 
     def test_lookup_and_names(self):
@@ -117,19 +114,13 @@ class TestWuLiBitIdentity:
 
     @pytest.mark.parametrize("scheme", PAPER_SERIES_ORDER)
     def test_vectorized_backend_matches(self, scheme):
+        """The dense batch engine, one element per call."""
         algo = ALGORITHMS["wu_li"]
         for net, energy in _nets(count=3):
             ref = algo.compute(net, scheme, energy)
-            pipe = VectorizedCDSPipeline(algo_scheme(scheme))
-            got = pipe.compute(net, energy=energy)
+            [got] = compute_cds_batch([net], scheme, energies=[energy])
             assert got.gateway_mask == ref.gateway_mask
             assert got.stats == ref.stats
-
-
-def algo_scheme(name):
-    from repro.core.priority import scheme_by_name
-
-    return scheme_by_name(name)
 
 
 class TestAllAlgorithmsShareInvariants:

@@ -21,12 +21,11 @@ from repro.core.priority import PAPER_SERIES_ORDER
 from repro.core.sparse import (
     CSRBatch,
     SparseCDSEngine,
-    SparseCDSPipeline,
     compute_cds_sparse,
     connected_labels,
 )
+from repro.core.sparse_delta import IncrementalSparseCDSPipeline
 from repro.core.vectorized import (
-    VectorizedCDSPipeline,
     compute_cds_batch,
     edge_table,
     pack_batch,
@@ -209,28 +208,31 @@ class TestConnectedLabels:
 
 
 class TestSparsePipeline:
+    """The ``backend="sparse"`` pipeline (the incremental CSR pipeline)."""
+
     def test_matches_vectorized_pipeline(self):
         net = random_connected_network(40, side=80, radius=25, rng=5)
         energy = list(np.random.default_rng(5).uniform(50, 150, size=40))
-        a = SparseCDSPipeline("el2").compute(net, energy=energy)
-        b = VectorizedCDSPipeline("el2").compute(net, energy=energy)
+        a = IncrementalSparseCDSPipeline("el2").compute(net, energy=energy)
+        [b] = compute_cds_batch([net], "el2", energies=[energy])
         assert a.gateway_mask == b.gateway_mask
         assert a.stats == b.stats
 
     def test_shadow_check_clean(self):
         net = random_connected_network(30, side=80, radius=25, rng=6)
-        pipe = SparseCDSPipeline("nd", shadow_check=True)
+        pipe = IncrementalSparseCDSPipeline("nd", shadow_check=True)
         assert pipe.compute(net).gateway_mask
 
     def test_verify_raises_on_corrupt_engine(self, monkeypatch):
         net = random_connected_network(30, side=80, radius=25, rng=7)
-        pipe = SparseCDSPipeline("nd", verify=True)
+        pipe = IncrementalSparseCDSPipeline("nd", verify=True)
+        real = pipe.engine.run_detailed
 
-        def corrupt(csr, energy):
-            flags, stats = SparseCDSEngine("nd").run(csr, energy)
-            flags[:1] = ~flags[:1]  # flip one node's gateway bit
-            return flags, stats
+        def corrupt(csr, energy=None):
+            d = real(csr, energy)
+            d.flags[:] = ~d.flags  # flip every gateway bit
+            return d
 
-        monkeypatch.setattr(pipe.engine, "run", corrupt)
+        monkeypatch.setattr(pipe.engine, "run_detailed", corrupt)
         with pytest.raises(InvariantViolation):
             pipe.compute(net)

@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 
 from repro.core.cds import compute_cds
-from repro.core.sparse import CSRBatch, SparseCDSPipeline
+from repro import obs
+from repro.core.sparse import CSRBatch, SparseCDSEngine
 from repro.core.sparse_delta import IncrementalSparseCDSPipeline, sub_csr
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, InvariantViolation
 from repro.geometry.space import Region2D
 from repro.graphs.generators import random_connected_network
 from repro.mobility.manager import MobilityManager
@@ -68,13 +69,13 @@ class TestShortCircuit:
         again = pipe.compute(net, energy=list(energy))
         assert again is first  # nothing changed: cached object comes back
 
-    def test_stateless_pipeline_short_circuits_too(self, rng):
-        """Satellite: ``SparseCDSPipeline`` gained the same fingerprint
-        short-circuit ``DeltaCDSPipeline`` has."""
+    def test_adjacency_input_short_circuits_too(self, rng):
+        """Raw bitmask rows (the adjacency fallback mode) get the same
+        fingerprint short-circuit as positions do."""
         net = random_connected_network(40, side=100.0, radius=25.0, rng=rng)
         adj = list(net.adjacency)
         energy = [100.0] * 40
-        pipe = SparseCDSPipeline("el2")
+        pipe = IncrementalSparseCDSPipeline("el2")
         first = pipe.compute(adj, energy=energy)
         again = pipe.compute(list(adj), energy=list(energy))
         assert again is first
@@ -165,6 +166,56 @@ class TestChurnAndRestart:
         net = random_connected_network(10, side=100.0, radius=40.0, rng=rng)
         pipe = IncrementalSparseCDSPipeline("el1")
         with pytest.raises(ConfigurationError, match="energy"):
+            pipe.compute(net)
+
+
+class TestEngineCounters:
+    def test_scds_totals_match_engine_run(self):
+        """``scds.marked/final/rounds`` on the incremental path equal what
+        :meth:`SparseCDSEngine.run` reports on the same snapshot."""
+        gen = np.random.default_rng(11)
+        # a scattered field: several components, so some intervals reuse
+        net = random_connected_network(60, side=100.0, radius=25.0, rng=gen)
+        net.positions[:] = gen.random((60, 2)) * 160.0
+        net.invalidate()
+        energy = gen.uniform(50.0, 100.0, size=60)
+        pipe = IncrementalSparseCDSPipeline("el2")
+        engine = SparseCDSEngine("el2")
+        walk = PaperWalk(stability=0.8)
+        region = Region2D(side=160.0)
+        keys = ("scds.marked", "scds.final", "scds.rounds")
+        computed = 0
+        for _ in range(12):
+            with obs.capture() as got:
+                pipe.compute(net, energy=energy)
+            if got.counters.get("sdelta.short_circuit"):
+                assert not any(k in got.counters for k in keys)
+            else:
+                computed += 1
+                csr = CSRBatch.from_positions(net.positions, net.radius)
+                with obs.capture() as want:
+                    engine.run(csr, energy[None, :])
+                for k in keys:
+                    assert got.counters[k] == want.counters[k], k
+            walk.step(net.positions, region, gen)
+            net.invalidate()
+            energy = energy - 0.5
+        assert computed >= 2
+
+
+class TestShadowCheckStats:
+    def test_wrong_stats_with_right_mask_raise(self, rng, monkeypatch):
+        net = random_connected_network(40, side=100.0, radius=25.0, rng=rng)
+        pipe = IncrementalSparseCDSPipeline("nd", shadow_check=True)
+        real = SparseCDSEngine.run_detailed
+
+        def off_by_one(self, csr, energy=None):
+            d = real(self, csr, energy)
+            d.rem2_c[0] += 1  # right flags, wrong Rule-2 removal count
+            return d
+
+        monkeypatch.setattr(SparseCDSEngine, "run_detailed", off_by_one)
+        with pytest.raises(InvariantViolation, match="diverged"):
             pipe.compute(net)
 
 

@@ -15,11 +15,11 @@ import numpy as np
 import pytest
 
 from repro.core.cds import compute_cds
+from repro.core.pipeline import check_result
 from repro.core.priority import SCHEMES
 from repro.core.rule_k import compute_cds_rule_k
 from repro.core.vectorized import (
     BatchCDSEngine,
-    VectorizedCDSPipeline,
     compute_cds_batch,
     compute_cds_rule_k_batch,
     flags_to_masks,
@@ -159,30 +159,38 @@ class TestRuleKBatch:
 
 
 class TestVectorizedPipeline:
+    """The dense engine at batch width 1 plus the shared result check:
+    what one per-interval call on the dense kernels amounts to."""
+
     def test_pipeline_matches_scratch_with_shadow_and_verify(self):
         view = random_gnp_connected(65, 0.08, rng=11)
-        pipe = VectorizedCDSPipeline("nd", shadow_check=True, verify=True)
-        got = pipe.compute(view)
+        [got] = compute_cds_batch([view], "nd", verify=True)
+        check_result(
+            got, list(view.adjacency), None, scheme=SCHEMES["nd"],
+            verify=True, shadow_check=True,
+        )
         want = compute_cds(view, "nd")
         assert got.gateway_mask == want.gateway_mask
         assert got.stats == want.stats
 
-    def test_shadow_check_catches_divergence(self):
+    def test_shadow_check_catches_divergence(self, monkeypatch):
         # corrupting the engine output must trip the shadow oracle
         view = random_gnp_connected(30, 0.2, rng=5)
-        pipe = VectorizedCDSPipeline("id", shadow_check=True)
+        real_run = BatchCDSEngine.run
 
-        real_run = pipe.engine.run
-
-        def bad_run(packed, energy=None):
-            flags, stats = real_run(packed, energy)
+        def bad_run(self, packed, energy=None):
+            flags, stats = real_run(self, packed, energy)
             flags = flags.copy()
             flags[0, 0] = ~flags[0, 0]
             return flags, stats
 
-        pipe.engine.run = bad_run
-        with pytest.raises(InvariantViolation):
-            pipe.compute(view)
+        monkeypatch.setattr(BatchCDSEngine, "run", bad_run)
+        [got] = compute_cds_batch([view], "id")
+        with pytest.raises(InvariantViolation, match="diverged"):
+            check_result(
+                got, list(view.adjacency), None, scheme=SCHEMES["id"],
+                shadow_check=True,
+            )
 
 
 class TestHelpers:

@@ -6,7 +6,7 @@ strict: bit-identical metrics to the per-trial :meth:`SweepExecutor.run`
 path, full checkpoint interoperability in BOTH directions (a per-trial
 checkpoint restores into a batched run and vice versa), the same
 retry/fault machinery at cell granularity, and no lost observability
-(``vectorized.batch_intervals`` counters prove the batched kernels ran).
+(``vectorized.batch_intervals`` counters prove the batched engine ran).
 """
 
 from __future__ import annotations
@@ -20,13 +20,13 @@ from repro.exec.executor import SweepExecutor
 from repro.simulation.config import SimulationConfig
 from repro.simulation.runner import run_trials
 
-VEC = SimulationConfig(
-    n_hosts=12, scheme="nd", drain_model="linear", backend="vectorized"
+SPARSE_ND = SimulationConfig(
+    n_hosts=12, scheme="nd", drain_model="linear", backend="sparse"
 )
 SPARSE = SimulationConfig(
     n_hosts=12, scheme="el2", drain_model="linear", backend="sparse"
 )
-CELLS = [("vec-nd", VEC), ("sparse-el2", SPARSE)]
+CELLS = [("sparse-nd", SPARSE_ND), ("sparse-el2", SPARSE)]
 
 
 def _batched(executor: SweepExecutor, trials: int = 3, **kwargs):
@@ -52,8 +52,8 @@ class TestBitIdentity:
 
     def test_cells_are_trial_ordered(self):
         out = _batched(SweepExecutor(processes=2), trials=4)
-        assert out.cell("vec-nd") == run_trials(
-            VEC, 4, root_seed=23, parallel=False
+        assert out.cell("sparse-nd") == run_trials(
+            SPARSE_ND, 4, root_seed=23, parallel=False
         )
 
     def test_scalar_algorithm_falls_back_inside_batch(self):
@@ -173,7 +173,7 @@ class TestValidation:
     def test_duplicate_cell_names_rejected(self):
         with pytest.raises(ConfigurationError, match="duplicate cell"):
             SweepExecutor(processes=1).run_batched(
-                [("a", VEC), ("a", VEC)], 2, root_seed=1
+                [("a", SPARSE_ND), ("a", SPARSE_ND)], 2, root_seed=1
             )
 
     def test_zero_trials_degenerate(self):
@@ -188,7 +188,7 @@ class TestProgress:
         out = ex.run_batched(CELLS, 3, root_seed=23)
         assert out.total_shards == 6
         assert ticks[-1].done == 6
-        assert {t.cell for t in ticks} == {"vec-nd", "sparse-el2"}
+        assert {t.cell for t in ticks} == {"sparse-nd", "sparse-el2"}
         assert all(t.source in ("run", "retry", "restored") for t in ticks)
 
     def test_restore_announces_once(self, tmp_path):

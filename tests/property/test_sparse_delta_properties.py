@@ -7,8 +7,8 @@ interval, for all five priority schemes:
 
 1. :class:`repro.core.sparse_delta.IncrementalSparseCDSPipeline`
    (persistent CSR, dirty components — the path under test);
-2. a *fresh* :class:`repro.core.sparse.SparseCDSPipeline` compute
-   (the stateless full rebuild);
+2. a fresh :func:`repro.core.sparse.compute_cds_sparse` call on the
+   snapshot (the stateless full rebuild on the same engine);
 3. the scalar oracle :func:`repro.core.cds.compute_cds`.
 
 Both gateway masks and :class:`PruneStats` are compared, so the
@@ -27,7 +27,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.cds import compute_cds
 from repro.core.priority import SCHEMES
-from repro.core.sparse import SparseCDSPipeline
+from repro.core.sparse import compute_cds_sparse
 from repro.core.sparse_delta import IncrementalSparseCDSPipeline
 from repro.graphs.generators import random_connected_network, scaled_side
 
@@ -93,8 +93,10 @@ class TestIncrementalSparseEquivalence:
             _apply_interval(net, energy, mask, spec, rng)
             e = list(energy) if needs_energy else None
             got = inc.compute(net, energy=e)
-            stateless = SparseCDSPipeline(scheme_name).compute(
-                list(net.adjacency), energy=e
+            [stateless] = compute_cds_sparse(
+                [list(net.adjacency)],
+                scheme_name,
+                energies=None if e is None else [e],
             )
             oracle = compute_cds(net.snapshot(), scheme_name, energy=e)
             assert got.gateway_mask == stateless.gateway_mask

@@ -58,12 +58,12 @@ class TestBatchLifespan:
 
 
 class TestBackendSwitch:
-    def test_vectorized_backend_bit_identical(self):
+    def test_sparse_backend_bit_identical(self):
         base = SimulationConfig(n_hosts=30, scheme="el1", stability=0.7)
-        vec = base.with_overrides(backend="vectorized")
+        sparse = base.with_overrides(backend="sparse")
         for t in range(2):
             want = LifespanSimulator(base, rng=generator_for_trial(8, t)).run()
-            got = LifespanSimulator(vec, rng=generator_for_trial(8, t)).run()
+            got = LifespanSimulator(sparse, rng=generator_for_trial(8, t)).run()
             assert got.metrics == want.metrics
 
     def test_backend_validated(self):
@@ -75,5 +75,5 @@ class TestBackendSwitch:
         from repro.exec.shards import config_fingerprint
 
         base = SimulationConfig(n_hosts=10)
-        vec = base.with_overrides(backend="vectorized")
-        assert config_fingerprint(base) != config_fingerprint(vec)
+        sparse = base.with_overrides(backend="sparse")
+        assert config_fingerprint(base) != config_fingerprint(sparse)

@@ -41,7 +41,7 @@ class TestValidation:
             {"drain_model": "unknown"},
             {"algorithm": "unknown"},
             {"backend": "gpu"},
-            {"algorithm": "greedy_mcds", "backend": "vectorized"},
+            {"algorithm": "greedy_mcds", "backend": "sparse"},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -75,41 +75,20 @@ class TestValidation:
         for name in ALGORITHMS:
             assert name in str(exc.value)
 
-    def test_vectorized_requires_capable_algorithm(self):
-        with pytest.raises(ConfigurationError, match="no vectorized backend"):
-            SimulationConfig(algorithm="mis_cds", backend="vectorized")
-        # wu_li has the flag, so the combination is legal
-        cfg = SimulationConfig(algorithm="wu_li", backend="vectorized")
-        assert cfg.backend == "vectorized"
+    def test_sparse_requires_capable_algorithm(self):
+        with pytest.raises(ConfigurationError, match="no sparse backend"):
+            SimulationConfig(algorithm="mis_cds", backend="sparse")
+        with pytest.raises(ConfigurationError, match="no delta backend"):
+            SimulationConfig(algorithm="mis_cds", backend="delta")
+        # wu_li has the flags, so the combinations are legal
+        cfg = SimulationConfig(algorithm="wu_li", backend="sparse")
+        assert cfg.backend == "sparse"
 
     def test_all_registered_algorithms_accepted(self):
         from repro.core.registry import algorithm_names
 
         for name in algorithm_names():
             assert SimulationConfig(algorithm=name).algorithm == name
-
-    def test_incremental_knob_never_silently_dropped(self):
-        """Regression (ISSUE 10): explicit ``incremental`` contradictions
-        raise instead of being quietly ignored."""
-        with pytest.raises(ConfigurationError, match="no incremental path"):
-            SimulationConfig(backend="vectorized", incremental=True)
-        with pytest.raises(ConfigurationError, match="is the incremental"):
-            SimulationConfig(backend="delta", incremental=False)
-        # sparse now honors the knob in both directions
-        assert SimulationConfig(backend="sparse", incremental=True).incremental
-        cfg = SimulationConfig(backend="sparse", incremental=False)
-        assert cfg.incremental is False
-
-    def test_effective_incremental_resolution(self):
-        """``None`` resolves per backend: on everywhere vectorized isn't."""
-        assert SimulationConfig(backend="scalar").effective_incremental
-        assert SimulationConfig(backend="delta").effective_incremental
-        assert SimulationConfig(backend="sparse").effective_incremental
-        assert not SimulationConfig(backend="vectorized").effective_incremental
-        # explicit values win over the per-backend default
-        assert not SimulationConfig(
-            backend="scalar", incremental=False
-        ).effective_incremental
 
 
 class TestOverrides:

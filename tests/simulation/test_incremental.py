@@ -1,14 +1,16 @@
 """Incremental vs scratch lifespan simulation must be indistinguishable.
 
-The ``incremental`` config knob only changes *how* the per-interval CDS
-is computed, never *what* it is — so two simulators with the same seed
-must produce identical trajectories, interval records, and lifespans.
+The backend only changes *how* the per-interval CDS is computed, never
+*what* it is — so two simulators with the same seed, one on the delta
+pipeline and one forced onto the scratch path, must produce identical
+trajectories, interval records, and lifespans.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core.delta import DeltaCDSPipeline
 from repro.simulation.config import SimulationConfig
 from repro.simulation.lifespan import LifespanSimulator
 
@@ -18,11 +20,12 @@ def _run(incremental: bool, **overrides):
         n_hosts=overrides.pop("n_hosts", 50),
         scheme=overrides.pop("scheme", "el2"),
         drain_model="fixed",
-        incremental=incremental,
         **overrides,
     )
     sim = LifespanSimulator(cfg, rng=1234)
-    assert (sim.pipeline is not None) == incremental  # n=50 >= the cutoff
+    assert isinstance(sim.pipeline, DeltaCDSPipeline)  # n=50 >= the cutoff
+    if not incremental:
+        sim.pipeline = None  # run_interval falls back to compute_cds
     return sim.run(keep_intervals=True)
 
 
@@ -38,9 +41,7 @@ def test_lifespan_identical_across_paths(scheme):
 
 
 def test_pipeline_constructed_only_when_wanted():
-    cfg = SimulationConfig(n_hosts=50, incremental=False)
-    assert LifespanSimulator(cfg, rng=0).pipeline is None
-    cfg = SimulationConfig(n_hosts=50, incremental=True)
+    cfg = SimulationConfig(n_hosts=50)
     assert LifespanSimulator(cfg, rng=0).pipeline is not None
     # custom selectors bypass the paper pipeline entirely
     sim = LifespanSimulator(cfg, rng=0, cds_fn=lambda adj, e: (1 << 50) - 1)
@@ -48,12 +49,12 @@ def test_pipeline_constructed_only_when_wanted():
 
 
 def test_small_networks_stay_on_scratch_path():
-    # below the measured crossover the scratch path is faster; the knob
+    # below the measured crossover the scratch path is faster; the choice
     # is invisible because the two paths are bit-identical anyway
-    cfg = SimulationConfig(n_hosts=20, incremental=True)
+    cfg = SimulationConfig(n_hosts=20)
     assert LifespanSimulator(cfg, rng=0).pipeline is None
     # ... unless shadow checking was requested, which needs the pipeline
-    cfg = SimulationConfig(n_hosts=20, incremental=True, shadow_check=True)
+    cfg = SimulationConfig(n_hosts=20, shadow_check=True)
     assert LifespanSimulator(cfg, rng=0).pipeline is not None
 
 
