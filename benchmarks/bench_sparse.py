@@ -56,8 +56,9 @@ SCHEMES = ("nr", "id", "nd", "el1", "el2")
 BIG_HOSTS = 100_000
 #: --record asserts the tracemalloc peak stays under this multiple of
 #: ``max(CSR bytes, chunk budget)``.  Measured behavior: each streamed
-#: chunk materializes ~7-8 budget-sized int64 temporaries (miss lists,
-#: coverage probes, rank gathers), so peak ≈ 8x the chunk budget once
+#: chunk materializes a handful of budget-sized int64 temporaries (the
+#: miss-bitmask build's probe arrays, Rule-2 pair and edge-id blocks) on
+#: top of the ``(E, W)`` miss table, so peak ≈ 8x the chunk budget once
 #: edges overflow one chunk; 16x covers that with headroom while still
 #: catching a densification bug (a dense N=100k row table would be
 #: ~1.25 GB per 64 MB of budget — far past the limit).

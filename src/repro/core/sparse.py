@@ -26,12 +26,16 @@ Execution is two-tier, decided per connected component:
   ascending-flat-id, which preserves the relative id order every scheme
   tiebreak uses (the same argument ``repro.core.registry`` makes for its
   baseline decomposition);
-* **big** (> cutoff): streamed CSR kernels.  Adjacency membership
-  ``x ∈ N(u)`` becomes a binary search of the globally sorted edge-key
-  array ``eS·n + eD`` (clamped ``searchsorted``; a miss at the clamp
-  boundary compares unequal by construction), and the edge/miss/triple
-  tables are built in chunks bounded by the engine's memory budget —
-  generator-of-blocks, never a materialized ``(E, W)`` table.
+* **big** (> cutoff): streamed CSR kernels over a per-edge miss
+  bitmask table ``X`` of shape ``(E_big, W)`` uint64, ``W = ⌈max
+  degree / 64⌉``.  Bit ``i`` of ``X[(v, u)]`` is set iff the ``i``-th
+  CSR neighbour of ``v`` is not in ``N(u)`` (``u`` itself always is).
+  Marking is ``popcount ≥ 2``, Rule 1 ``popcount == 1``, the Rule-2
+  ``u ~ w`` prefilter one bit test, and coverage ``N(v) ⊆ N(u) ∪ N(w)``
+  is ``X[(v,u)] & X[(v,w)] == 0`` — word arithmetic, no probe.  ``X`` is
+  built once per run by a binary search of the sorted edge-key array
+  ``eS·n + eD``; every expansion is chunked by the engine's memory
+  budget.
 
 Equivalence contract
 --------------------
@@ -74,6 +78,7 @@ from repro.core.reduction import PruneStats
 from repro.core.vectorized import (
     BatchCDSEngine,
     _I32MAX,
+    _U64_1,
     _scatter_any,
     chunk_bits,
     chunk_words,
@@ -81,6 +86,7 @@ from repro.core.vectorized import (
     flags_to_masks,
     pack_batch,
     pair_index_arrays,
+    popcount_rows,
     resolve_memory_budget_mb,
     words_for,
 )
@@ -433,68 +439,42 @@ class SparseCDSEngine:
 
     # -- CSR kernels (big components) --------------------------------------
 
-    def _edge_miss_csr(self, keys, beS, beD, beDf, bdeg, boff):
-        """Per-edge miss lists ``miss(v→u) = N(v) \\ N(u)`` over big edges.
+    def _miss_bits_csr(self, keys, beS, beD, beDf, bdeg, boff):
+        """Per-edge miss bitmasks over the big edges, and their popcounts.
 
-        The CSR twin of ``BatchCDSEngine._edge_miss``: same chunked
-        expansion, with the word gather replaced by the sorted-key
-        membership probe.  Returns ``(misscnt, missoff, misslist)``
-        indexed by *big-edge* id.
+        Row ``e = (v, u)`` of the ``(E, W)`` uint64 table ``X`` has bit
+        ``i`` set iff the ``i``-th CSR neighbour of ``v`` (big-edge id
+        ``boff[v] + i``) is not in ``N(u)``.  ``u`` itself always is, so
+        ``misscnt == 1`` ⟺ ``N[v] ⊆ N[u]`` and ``misscnt >= 2`` ⟺ ``u``
+        certifies ``v``'s marking.  The only membership probes of the CSR
+        path happen here, chunked by the memory budget.
         """
         E = len(beS)
-        n = self._n
+        W = words_for(int(bdeg.max()))
+        X = np.zeros((E, W), dtype=np.uint64)
+        misscnt = np.zeros(E, dtype=np.int64)
         if E == 0:
-            z = np.empty(0, dtype=np.int64)
-            return z, z, z
+            return X, misscnt
+        cells = X.reshape(-1)
         counts_all = bdeg[beS]
         avg = max(1.0, float(counts_all.mean()))
         step = max(1, int(self._chunk_words / avg))
-        list_parts: list[np.ndarray] = []
-        owner_parts: list[np.ndarray] = []
         for lo in range(0, E, step):
             hi = min(E, lo + step)
             cnt = counts_all[lo:hi]
-            total = int(cnt.sum())
-            if total == 0:
-                continue
             owner = np.repeat(np.arange(hi - lo, dtype=np.int64), cnt)
             first = np.cumsum(cnt) - cnt
-            within = np.arange(total, dtype=np.int64) - first[owner]
-            xs = beD[boff[beS[lo:hi]][owner] + within]  # neighbors of v
-            hit = _member(keys, beDf[lo:hi][owner], xs, n)
-            miss = ~hit
-            list_parts.append(xs[miss])
-            owner_parts.append(owner[miss] + lo)
-        misslist = np.concatenate(list_parts)
-        misscnt = np.bincount(np.concatenate(owner_parts), minlength=E)
-        missoff = np.cumsum(misscnt) - misscnt
-        return misscnt, missoff, misslist
-
-    def _covered_csr(self, lists, offs, counts, qkeys, keys, probe_rows):
-        """Chunked subset probe: list ``qkeys[k]`` ⊆ N(probe_rows[k])?"""
-        K = len(qkeys)
-        n = self._n
-        out = np.empty(K, dtype=bool)
-        if K == 0:
-            return out
-        counts_all = counts[qkeys]
-        avg = max(1.0, float(counts_all.mean()))
-        step = max(1, int(self._chunk_words / avg))
-        for lo in range(0, K, step):
-            hi = min(K, lo + step)
-            cnt = counts_all[lo:hi]
-            total = int(cnt.sum())
-            if total == 0:
-                out[lo:hi] = True
-                continue
-            owner = np.repeat(np.arange(hi - lo, dtype=np.int64), cnt)
-            first = np.cumsum(cnt) - cnt
-            within = np.arange(total, dtype=np.int64) - first[owner]
-            xs = lists[offs[qkeys[lo:hi]][owner] + within]
-            hit = _member(keys, probe_rows[lo:hi][owner], xs, n)
-            nmiss = np.bincount(owner[~hit], minlength=hi - lo)
-            out[lo:hi] = nmiss == 0
-        return out
+            within = np.arange(len(owner), dtype=np.int64) - first[owner]
+            xs = beD[boff[beS[lo:hi]][owner] + within]  # neighbours of v
+            miss = ~_member(keys, beDf[lo:hi][owner], xs, self._n)
+            slot = within[miss]
+            # (edge, word) cells are non-decreasing: OR each run of bits
+            cell = (owner[miss] + lo) * W + (slot >> 6)
+            bits = _U64_1 << (slot & 63).astype(np.uint64)
+            run = np.flatnonzero(np.diff(cell, prepend=-1))
+            cells[cell[run]] = np.bitwise_or.reduceat(bits, run)
+            misscnt[lo:hi] = popcount_rows(X[lo:hi])
+        return X, misscnt
 
     def _rule1_csr(self, beS, beDf, misscnt, marked, rank):
         """Simultaneous Rule-1 pass over the big-component edges."""
@@ -508,17 +488,18 @@ class SparseCDSEngine:
         return marked & ~removed
 
     def _firing_triples_csr(
-        self, keys, miss, brev, beS, beD, beDf, marked, rank
+        self, keys, X, brev, beS, beD, beDf, boff, marked, rank
     ):
         """Firing triples of the current marked set, streamed in blocks.
 
-        Semantically ``BatchCDSEngine._firing_triples`` with membership
-        probes for the adjacency prefilter; the pair expansion walks
-        source rows in blocks of ~``chunk_words`` triples so the triple
-        table is never materialized whole.
+        Semantically ``BatchCDSEngine._firing_triples`` with every test a
+        word operation on ``X``; the pair expansion walks source rows in
+        blocks of ~``chunk_words / W`` triples so the gathered rows stay
+        within the budget and the triple table is never materialized
+        whole.
         """
         R = len(marked)
-        misscnt, missoff, misslist = miss
+        W = X.shape[1]
         empty = np.empty(0, dtype=np.int64)
         sel = marked[beS] & marked[beDf]
         sel_idx = np.flatnonzero(sel)
@@ -529,9 +510,8 @@ class SparseCDSEngine:
         if total == 0:
             return empty, empty, empty
         offs = np.cumsum(mdeg) - mdeg  # per-row offset into sel_idx
-        cuts = np.searchsorted(
-            cum, np.arange(self._chunk_words, total, self._chunk_words)
-        )
+        block = max(1, self._chunk_words // W)
+        cuts = np.searchsorted(cum, np.arange(block, total, block))
         row_bounds = np.unique(np.concatenate(([0], cuts + 1, [R])))
         v_parts: list[np.ndarray] = []
         u_parts: list[np.ndarray] = []
@@ -547,34 +527,27 @@ class SparseCDSEngine:
             base = np.repeat(offs[r0:r1], sub_pcs)
             gU = sel_idx[base + i]  # big-edge id of (v, u)
             gW = sel_idx[base + j]  # big-edge id of (v, w)
-            tW = beD[gW]
-            tUf = beDf[gU]
-            tWf = beDf[gW]
-            # prefilter: u and w must be adjacent (see the dense twin)
-            keep = _member(keys, tUf, tW, self._n)
-            tV, tUf, tWf = tV[keep], tUf[keep], tWf[keep]
-            gU, gW = gU[keep], gW[keep]
-            if len(tV) == 0:
-                continue
-            # primary coverage: N(v) ⊆ N(u) ∪ N(w) ⟺ miss(v→u) ⊆ N(w)
-            cov = self._covered_csr(
-                misslist, missoff, misscnt, gU, keys, tWf
-            )
-            cV, cUf, cWf = tV[cov], tUf[cov], tWf[cov]
+            # prefilter: u and w must be adjacent (see the dense twin),
+            # i.e. w's slot in v's row is clear in X[(v, u)]
+            s = gW - boff[tV]
+            adj_uw = (X[gU, s >> 6] >> (s & 63).astype(np.uint64)) & _U64_1
+            keep = adj_uw == 0
+            tV, gU, gW = tV[keep], gU[keep], gW[keep]
+            # primary coverage: N(v) ⊆ N(u) ∪ N(w) ⟺ no slot misses both
+            cov = ~(X[gU] & X[gW]).any(axis=1)
+            cV, gU, gW = tV[cov], gU[cov], gW[cov]
             if len(cV) == 0:
                 continue
-            gU, gW = gU[cov], gW[cov]
+            cUf, cWf = beDf[gU], beDf[gW]
             rv = rank[cV]
             lu = rv < rank[cUf]
             lw = rv < rank[cWf]
             if self.scheme.uses_coverage_cases:
-                # mutual-coverage case flags through the reverse edges
-                ccu = self._covered_csr(
-                    misslist, missoff, misscnt, brev[gU], keys, cWf
-                )
-                ccw = self._covered_csr(
-                    misslist, missoff, misscnt, brev[gW], keys, cUf
-                )
+                # mutual-coverage case flags on the rows of u and w:
+                # N(u) ⊆ N(v) ∪ N(w) ⟺ X[(u,v)] & X[(u,w)] == 0
+                gUW = np.searchsorted(keys, cUf * self._n + beD[gW])
+                ccu = ~(X[brev[gU]] & X[gUW]).any(axis=1)
+                ccw = ~(X[brev[gW]] & X[brev[gUW]]).any(axis=1)
                 lu |= ~ccu
                 lw |= ~ccw
             fire = lu & lw
@@ -589,11 +562,11 @@ class SparseCDSEngine:
             np.concatenate(w_parts),
         )
 
-    def _rule2_csr(self, keys, miss, brev, beS, beD, beDf, marked, rank):
+    def _rule2_csr(self, keys, X, brev, beS, beD, beDf, boff, marked, rank):
         """One Rule-2 pass (iterated local-minimum rounds) over big comps."""
         R = len(marked)
         fV, fUf, fWf = self._firing_triples_csr(
-            keys, miss, brev, beS, beD, beDf, marked, rank
+            keys, X, brev, beS, beD, beDf, boff, marked, rank
         )
         if len(fV) == 0:
             return marked
@@ -770,10 +743,11 @@ class SparseCDSEngine:
         keys = beS * n + beD  # globally sorted: (src, dst) ascending
         bdeg = np.where(bignode, deg, 0)
         boff = np.cumsum(bdeg) - bdeg
-        miss = self._edge_miss_csr(keys, beS, beD, beDf, bdeg, boff)
-        misscnt = miss[0]
-
-        marked0 = _scatter_any(beS[misscnt >= 2], B * n)
+        with obs.span("marking"):
+            X, misscnt = self._miss_bits_csr(
+                keys, beS, beD, beDf, bdeg, boff
+            )
+            marked0 = _scatter_any(beS[misscnt >= 2], B * n)
         mcomps = comp_of[np.flatnonzero(marked0)]
         if len(mcomps):
             initial_c += np.bincount(mcomps, minlength=C)
@@ -795,10 +769,12 @@ class SparseCDSEngine:
         rounds_big = np.zeros(C, dtype=np.int64)
         while active_c.any():
             rounds_big += active_c
-            after1 = self._rule1_csr(beS, beDf, misscnt, current, rank)
-            after2 = self._rule2_csr(
-                keys, miss, brev, beS, beD, beDf, after1, rank
-            )
+            with obs.span("rule1"):
+                after1 = self._rule1_csr(beS, beDf, misscnt, current, rank)
+            with obs.span("rule2"):
+                after2 = self._rule2_csr(
+                    keys, X, brev, beS, beD, beDf, boff, after1, rank
+                )
             d1 = np.bincount(
                 comp_of[np.flatnonzero(current & ~after1)], minlength=C
             )

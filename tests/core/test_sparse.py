@@ -24,6 +24,7 @@ from repro.core.sparse import (
     compute_cds_sparse,
     connected_labels,
 )
+from repro.core import vectorized
 from repro.core.sparse_delta import IncrementalSparseCDSPipeline
 from repro.core.vectorized import (
     compute_cds_batch,
@@ -34,6 +35,7 @@ from repro.errors import ConfigurationError, InvariantViolation
 from repro.graphs.adhoc import AdHocNetwork
 from repro.graphs.generators import (
     clique,
+    clustered_connected_network,
     from_edges,
     path_graph,
     random_connected_network,
@@ -138,6 +140,105 @@ class TestOracleEquivalence:
                 ),
                 None,
             )
+
+
+def _hub_graph(degree: int, seed: int, coverable: bool):
+    """A hub of exactly ``degree`` neighbours whose misses sit at the top.
+
+    Node 0 is the hub and node 1 its twin; the other neighbours are
+    leaves (a path plus sparse random chords, pendants hanging off some).
+    The twin sees every leaf but the last two, so ``N(hub) \\ N(twin)``
+    fills the hub's top CSR slots — bit 63 or the second and third words
+    at the degrees this suite uses.
+
+    * ``coverable=False``: one chord reaches the second-last leaf but not
+      the last, so a coverage test that dropped a high word would wrongly
+      prune the hub.
+    * ``coverable=True``: the hub's last neighbour is a coverer adjacent
+      to the twin and the last two leaves, so ``(twin, coverer)`` is the
+      hub's only Rule-2 pair and its ``u ~ w`` bit is in the top slot.
+    """
+    rng = np.random.default_rng(seed)
+    last = degree  # the hub's highest-numbered neighbour
+    leaves = list(range(2, last if coverable else last + 1))
+    inner = leaves[:-2]  # the leaves the twin also sees
+    edges = [(0, v) for v in range(1, last + 1)]
+    edges += list(zip(leaves, leaves[1:]))
+    edges += [(1, v) for v in inner]
+    if coverable:
+        edges += [(1, last), (leaves[-2], last), (leaves[-1], last)]
+    else:
+        edges.append((last - 3, last - 1))
+    for a in inner:
+        for b in range(a + 2, inner[-1] + 1):
+            if rng.random() < 0.03:
+                edges.append((a, b))
+    edges += [(p, int(rng.choice(inner))) for p in range(last + 1, last + 6)]
+    return from_edges(last + 6, edges)
+
+
+class TestWordBoundaryDegrees:
+    """Miss rows of ``W ≥ 2`` words and the bit-63 slot on the CSR path.
+
+    ``dense_cutoff=2`` forces every component through the streamed CSR
+    kernels, whose miss table is ``⌈max degree / 64⌉`` words wide.
+    """
+
+    @pytest.mark.parametrize("coverable", [False, True])
+    @pytest.mark.parametrize("budget", [None, 0.001])
+    @pytest.mark.parametrize("degree", [63, 64, 65, 127, 128, 129])
+    def test_hub_degrees(self, degree, budget, coverable):
+        g = _hub_graph(degree, seed=degree, coverable=coverable)
+        assert bin(g.adjacency[0]).count("1") == degree
+        _assert_matches_oracle(
+            [list(g.adjacency)], _energies(g.n, 1, degree),
+            dense_cutoff=2, memory_budget_mb=budget,
+        )
+
+    @pytest.mark.parametrize("budget", [None, 0.001])
+    def test_clustered_field_above_128(self, budget):
+        net = clustered_connected_network(240, clusters=3, cluster_std=8.0,
+                                          rng=3)
+        assert max(bin(a).count("1") for a in net.adjacency) > 128
+        _assert_matches_oracle(
+            [list(net.adjacency)], _energies(net.n, 1, 240),
+            dense_cutoff=2, memory_budget_mb=budget,
+        )
+
+    def test_popcount_without_bitwise_count(self, monkeypatch):
+        # numpy < 2.0 has no np.bitwise_count; the unpackbits fallback
+        # must count the same miss bits
+        monkeypatch.setattr(vectorized, "_HAS_BITWISE_COUNT", False)
+        g = _hub_graph(129, seed=1, coverable=True)
+        _assert_matches_oracle(
+            [list(g.adjacency)], _energies(g.n, 1, 1), dense_cutoff=2
+        )
+
+    @pytest.mark.parametrize("degree", [64, 129])
+    def test_miss_bits_definition(self, degree):
+        g = _hub_graph(degree, seed=degree, coverable=False)
+        adj = list(g.adjacency)
+        csr = CSRBatch.from_adjacency([adj])
+        engine = SparseCDSEngine("id", dense_cutoff=2,
+                                 memory_budget_mb=0.001)
+        engine._n = n = csr.n
+        deg = np.diff(csr.indptr)
+        eS = np.repeat(np.arange(n, dtype=np.int64), deg)
+        boff = csr.indptr[:-1]
+        X, misscnt = engine._miss_bits_csr(
+            eS * n + csr.dst, eS, csr.dst, csr.dst, deg, boff
+        )
+        assert X.shape == (csr.nnz, (degree + 63) // 64)
+        for e in range(csr.nnz):
+            v, u = int(eS[e]), int(csr.dst[e])
+            row = csr.dst[boff[v] : boff[v] + deg[v]]
+            want = sum(
+                1 << i for i, x in enumerate(row.tolist())
+                if not adj[u] >> x & 1
+            )
+            got = int.from_bytes(X[e].tobytes(), "little")
+            assert got == want, (v, u)
+            assert misscnt[e] == bin(want).count("1")
 
 
 class TestCSRBatch:

@@ -13,6 +13,7 @@ import pytest
 
 from repro import obs
 from repro.core.cds import compute_cds
+from repro.core.pipeline import make_pipeline
 from repro.graphs.generators import random_connected_network
 from repro.protocol.async_sim import run_async_cds
 from repro.protocol.distributed_cds import distributed_cds
@@ -71,6 +72,38 @@ class TestPipelineCounters:
         assert reg.counters["cds.computed"] == 2
         assert reg.counters["marking.nodes_evaluated"] == 2 * net.n
         assert reg.spans["cds"].count == 2
+
+
+class TestCanonicalPhaseSpans:
+    """Every backend opens the same ``marking``/``rule1``/``rule2`` spans."""
+
+    PHASES = {"marking", "rule1", "rule2"}
+
+    def test_same_phase_spans_on_scalar_delta_and_sparse(self):
+        net = random_connected_network(60, rng=23)
+        energy = np.random.default_rng(23).uniform(50.0, 150.0, net.n)
+        delta = make_pipeline("wu_li", "delta", "el2")
+        sparse = make_pipeline("wu_li", "sparse", "el2")
+        # components at or below the dense cutoff run in one dense call;
+        # a cutoff of 2 sends this one through the CSR kernels
+        sparse.engine.dense_cutoff = 2
+        runs = {
+            "scalar": lambda: compute_cds(net, "el2", energy=energy),
+            "delta": lambda: delta.compute(net, energy),
+            "sparse": lambda: sparse.compute(net, energy=energy),
+        }
+        results = {}
+        for name, run in runs.items():
+            with obs.capture() as reg:
+                results[name] = run()
+            names = {path.rsplit("/", 1)[-1] for path in reg.spans}
+            assert names & self.PHASES == self.PHASES, name
+        for phase in self.PHASES:
+            assert f"cds/cds_sparse/{phase}" in reg.spans
+        want = results["scalar"]
+        for name, got in results.items():
+            assert got.gateway_mask == want.gateway_mask, name
+            assert got.stats == want.stats, name
 
 
 class TestProtocolCounters:
