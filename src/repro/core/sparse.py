@@ -56,11 +56,11 @@ by the same local rules):
 Scale
 -----
 ``CSRBatch.from_positions`` builds the CSR straight from point positions
-with the same grid hashing (and bit-identical distance arithmetic) as
-:func:`repro.graphs.unitdisk.unit_disk_adjacency_grid`, skipping the
-Python-int adjacency entirely — at N = 100k the CSR is ~18 MB where dense
-rows would be 1.25 GB.  All expansions honour ``memory_budget_mb``
-(see :func:`repro.core.vectorized.resolve_memory_budget_mb`).
+through :func:`repro.graphs.unitdisk.unit_disk_edge_lists`, the grid hash
+the bitmask builders use too, skipping the Python-int adjacency entirely
+— at N = 100k the CSR is ~18 MB where dense rows would be 1.25 GB.  All
+expansions honour ``memory_budget_mb`` (see
+:func:`repro.core.vectorized.resolve_memory_budget_mb`).
 """
 
 from __future__ import annotations
@@ -91,13 +91,13 @@ from repro.core.vectorized import (
     words_for,
 )
 from repro.errors import ConfigurationError
+from repro.graphs.unitdisk import unit_disk_edge_lists
 
 __all__ = [
     "DENSE_COMPONENT_CUTOFF",
     "CSRBatch",
     "SparseRunDetail",
     "connected_labels",
-    "unit_disk_edge_lists",
     "SparseCDSEngine",
     "compute_cds_sparse",
 ]
@@ -169,12 +169,11 @@ class CSRBatch:
     ) -> "CSRBatch":
         """Unit-disk CSR straight from ``(n, 2)`` positions (batch of 1).
 
-        Grid hashing with cell = radius and 3×3 candidate probes, chunked
-        by the memory budget.  The distance arithmetic is bit-identical to
-        :func:`repro.graphs.unitdisk.unit_disk_adjacency_grid`
-        (``Σ (Δ)²`` in float64, inclusive ``d² ≤ r²``), so the edge set
-        matches the dense builders exactly — without ever allocating an
-        ``n``-bit row.
+        Edges come from :func:`repro.graphs.unitdisk.unit_disk_edge_lists`
+        (3×3 grid-cell probes, chunked by the memory budget), the same
+        hash and float arithmetic behind the bitmask builders, so the edge
+        set matches them exactly — without ever allocating an ``n``-bit
+        row.
         """
         pos = np.ascontiguousarray(positions, dtype=np.float64)
         n = len(pos)
@@ -195,81 +194,6 @@ class CSRBatch:
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(deg, out=indptr[1:])
         return cls(indptr, dst, 1, n)
-
-
-def unit_disk_edge_lists(
-    pos: np.ndarray,
-    radius: float,
-    srcs: np.ndarray,
-    budget_words: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-disk ``(src, dst)`` directed edge lists for a source subset.
-
-    Candidates come from the 3×3 grid-cell block around each source (cell
-    size = radius), expanded in chunks bounded by ``budget_words``.  The
-    distance arithmetic (``Σ (Δ)²`` in float64, inclusive ``d² ≤ r²``)
-    matches :func:`repro.graphs.unitdisk.unit_disk_adjacency_grid` bit for
-    bit, so calling this for *all* nodes reproduces
-    :meth:`CSRBatch.from_positions` and calling it for just the movers
-    yields rows bit-identical to a full rebuild — the property the
-    incremental pipeline's CSR patching rests on.  Edges are returned
-    unsorted (grouped by chunk); callers lexsort.
-    """
-    empty = np.empty(0, dtype=np.int64)
-    k = len(srcs)
-    if k == 0:
-        return empty, empty
-    n = len(pos)
-    r2 = radius * radius
-    keys = np.floor(pos / radius).astype(np.int64)
-    kx = keys[:, 0] - keys[:, 0].min()
-    ky = keys[:, 1] - keys[:, 1].min()
-    # +1 shift and a +3 stride make every ±1 cell offset a distinct
-    # code with no wraparound, so the 9 probes never double-count
-    stride = int(ky.max()) + 3
-    code = (kx + 1) * stride + (ky + 1)
-    order = np.argsort(code, kind="stable")
-    sorted_codes = code[order]
-    ucodes, ustarts = np.unique(sorted_codes, return_index=True)
-    ucounts = np.diff(np.append(ustarts, n))
-    starts9 = np.empty((9, k), dtype=np.int64)
-    counts9 = np.zeros((9, k), dtype=np.int64)
-    scode = code[srcs]
-    j = 0
-    for dx in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            target = scode + dx * stride + dy
-            ci = np.searchsorted(ucodes, target)
-            ci = np.minimum(ci, len(ucodes) - 1)
-            ok = ucodes[ci] == target
-            starts9[j] = np.where(ok, ustarts[ci], 0)
-            counts9[j] = np.where(ok, ucounts[ci], 0)
-            j += 1
-    per_node = counts9.sum(axis=0)
-    avg = max(1.0, float(per_node.mean()))
-    step = max(1, int(budget_words / avg))
-    src_parts: list[np.ndarray] = []
-    dst_parts: list[np.ndarray] = []
-    for lo in range(0, k, step):
-        hi = min(k, lo + step)
-        cnt = counts9[:, lo:hi].ravel()
-        total = int(cnt.sum())
-        if total == 0:
-            continue
-        owner = np.repeat(np.arange(len(cnt), dtype=np.int64), cnt)
-        first = np.cumsum(cnt) - cnt
-        within = np.arange(total, dtype=np.int64) - first[owner]
-        cand = order[starts9[:, lo:hi].ravel()[owner] + within]
-        ss = np.tile(srcs[lo:hi], 9)[owner]
-        d = pos[cand] - pos[ss]
-        dsq = d * d
-        d2 = dsq[:, 0] + dsq[:, 1]
-        keep = (d2 <= r2) & (cand != ss)
-        src_parts.append(ss[keep])
-        dst_parts.append(cand[keep])
-    if not src_parts:
-        return empty, empty
-    return np.concatenate(src_parts), np.concatenate(dst_parts)
 
 
 def connected_labels(indptr: np.ndarray, dst_flat: np.ndarray) -> np.ndarray:

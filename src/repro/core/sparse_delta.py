@@ -9,10 +9,9 @@ recomputes only what a change can reach:
 1. **CSR patching.**  For geometric inputs (anything with ``positions``
    and ``radius``, i.e. :class:`~repro.graphs.adhoc.AdHocNetwork`), the
    pipeline diffs cached positions to find movers and rebuilds *only
-   their* rows via the grid spatial hash
-   (:func:`repro.core.sparse.unit_disk_edge_lists` — the same
-   bit-identical distance math the full builder uses, so the patched CSR
-   equals a from-scratch build array for array).  Old edges with neither
+   their* rows via :func:`repro.graphs.unitdisk.unit_disk_edge_lists`
+   (the one grid hash, which the full builder also calls, so the patched
+   CSR equals a from-scratch build array for array).  Old edges with neither
    endpoint moved are kept; reverse edges into unmoved neighbors are
    regenerated from the mover rows.  The changed-row set is then *exact*:
    the endpoints of the symmetric difference between the old and new
@@ -75,12 +74,9 @@ from repro.core.delta import changed_row_flags
 from repro.core.pipeline import check_result, validate_energy
 from repro.core.priority import SCHEMES, PriorityScheme, scheme_by_name
 from repro.core.reduction import PruneStats
-from repro.core.sparse import (
-    CSRBatch,
-    SparseCDSEngine,
-    unit_disk_edge_lists,
-)
+from repro.core.sparse import CSRBatch, SparseCDSEngine
 from repro.core.vectorized import chunk_words, flags_to_masks
+from repro.graphs.unitdisk import unit_disk_edge_lists
 
 __all__ = ["IncrementalSparseCDSPipeline", "sub_csr"]
 

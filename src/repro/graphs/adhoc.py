@@ -17,17 +17,16 @@ mutates every update interval:
 Incremental maintenance
 -----------------------
 :meth:`apply_moves` patches the cached adjacency in place after a subset of
-hosts moved, instead of rebuilding all ``n^2`` pairwise distances.  A
-persistent :class:`~repro.geometry.spatial_index.UniformGridIndex` is kept
-aliased to the live position array; each moved host is re-bucketed, its row
-is recomputed from the 3x3 cell block around its new position, and the
-symmetric bits in affected neighbors' rows are flipped.  Rows of unmoved
-hosts can only change in bits belonging to moved hosts, so the patch is
-exact: the result is bit-identical to a full rebuild (pinned by a
-hypothesis property over random move sequences).  When most hosts moved the
-delta bookkeeping costs more than one vectorized rebuild, so above
-``_DELTA_REBUILD_FRACTION`` the method falls back to a dense rebuild and
-diffs the rows.
+hosts moved, instead of rebuilding all ``n^2`` pairwise distances.  Each
+moved host's row is recomputed — from one dense ``(k, n)`` distance block
+for small ``n``, else from :func:`~repro.graphs.unitdisk.unit_disk_edge_lists`
+called on the movers only — and the symmetric bits in affected neighbors'
+rows are flipped.  Rows of unmoved hosts can only change in bits belonging
+to moved hosts, so the patch is exact: the result is bit-identical to a
+full rebuild (pinned by a hypothesis property over random move sequences).
+When most hosts moved the delta bookkeeping costs more than one vectorized
+rebuild, so above ``_DELTA_REBUILD_FRACTION`` the method falls back to a
+full rebuild and diffs the rows.
 """
 
 from __future__ import annotations
@@ -35,20 +34,19 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import TopologyError
-from repro.geometry.spatial_index import UniformGridIndex
 from repro.graphs import bitset
 from repro.graphs.neighborhoods import NeighborhoodView, is_connected
-from repro.graphs.unitdisk import unit_disk_adjacency
+from repro.graphs.unitdisk import (
+    _GRID_CUTOFF,
+    _grid_rows,
+    _masks_from_bool_matrix,
+    unit_disk_adjacency,
+)
 
 __all__ = ["AdHocNetwork"]
 
 #: Above this moved fraction a vectorized full rebuild beats row patching.
 _DELTA_REBUILD_FRACTION = 0.35
-
-#: Up to this host count a mover's row comes from one dense (k, n) distance
-#: block; above it the persistent grid index bounds the work to the mover's
-#: 3x3 cell block (mirrors the builder cutoff in repro.graphs.unitdisk).
-_GRID_DELTA_CUTOFF = 512
 
 
 class AdHocNetwork:
@@ -74,7 +72,6 @@ class AdHocNetwork:
         self._radius = float(radius)
         self._side = float(side)
         self._adj: list[int] | None = None
-        self._grid: UniformGridIndex | None = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -119,7 +116,6 @@ class AdHocNetwork:
     def invalidate(self) -> None:
         """Mark the cached adjacency stale (call after moving positions)."""
         self._adj = None
-        self._grid = None
 
     def move_host(self, v: int, xy) -> None:
         """Teleport a single host and invalidate the adjacency."""
@@ -135,32 +131,35 @@ class AdHocNetwork:
         the full matrix is built and every node is reported changed.
         """
         moved = np.asarray(moved)
-        if moved.dtype == bool:
-            moved = np.flatnonzero(moved)
-        moved = np.atleast_1d(moved.astype(np.intp))
+        if moved.dtype != bool:
+            flags = np.zeros(self.n, dtype=bool)
+            flags[moved.astype(np.intp)] = True
+            moved = flags
+        # sorted and distinct: _grid_rows finds each edge's row by bisection
+        moved = np.flatnonzero(moved)
         n = self.n
         if self._adj is None:
             self._adj = unit_disk_adjacency(self._pos, self._radius)
             return (1 << n) - 1 if n else 0
-        if moved.size == 0 or self._radius <= 0:
+        if moved.size == 0:
             return 0
         if moved.size > max(8, int(n * _DELTA_REBUILD_FRACTION)):
             return self._rebuild_and_diff()
 
         adj = self._adj
-        moved_ids = [int(v) for v in moved]
+        moved_ids = moved.tolist()
         moved_mask = bitset.mask_from_ids(moved_ids)
 
         # recompute each mover's row; either way the distance arithmetic
-        # (x² + y² per pair, inclusive radius) matches the dense builder
+        # (x² + y² per pair, inclusive radius) matches the full builders
         # exactly, so the patched rows are bit-identical to a full rebuild
-        if n <= _GRID_DELTA_CUTOFF:
-            new_rows = self._mover_rows_dense(moved, moved_ids)
+        if n <= _GRID_CUTOFF:
+            new_rows = self._mover_rows_dense(moved)
         else:
-            new_rows = self._mover_rows_grid(moved_ids)
+            new_rows = _grid_rows(self._pos, self._radius, moved)
 
         changed = 0
-        for v, row in new_rows:
+        for v, row in zip(moved_ids, new_rows):
             old = adj[v]
             if old == row:
                 continue
@@ -173,51 +172,21 @@ class AdHocNetwork:
             changed |= old ^ row
         return changed
 
-    def _mover_rows_dense(self, moved: np.ndarray, moved_ids: list[int]):
+    def _mover_rows_dense(self, moved: np.ndarray) -> list[int]:
         """Mover rows via one (k, n) distance block — wins for small n,
-        where per-mover grid bookkeeping costs more than brute force."""
+        where the grid hash's bookkeeping costs more than brute force."""
         pos = self._pos
         diff = pos[None, :, :] - pos[moved, None, :]
         d2 = np.einsum("ijk,ijk->ij", diff, diff)
         within = d2 <= self._radius * self._radius
-        packed = np.packbits(within, axis=1, bitorder="little")
-        return [
-            (v, int.from_bytes(packed[i].tobytes(), "little") & ~(1 << v))
-            for i, v in enumerate(moved_ids)
-        ]
-
-    def _mover_rows_grid(self, moved_ids: list[int]):
-        """Mover rows via the persistent grid index: re-bucket each mover,
-        then test only its 3x3 cell block (O(k · local density), not O(kn))."""
-        if self._grid is None:
-            self._grid = UniformGridIndex(self._pos, self._radius)
-        grid = self._grid
-        pos = self._pos
-        r2 = self._radius * self._radius
-        n = self.n
-        for v in moved_ids:
-            grid.move(v)
-        flag_buf = np.zeros(((n + 7) // 8) * 8, dtype=np.uint8)
-        new_rows: list[tuple[int, int]] = []
-        for v in moved_ids:
-            p = pos[v]
-            cand = np.asarray(grid.cell_block(p), dtype=np.intp)
-            d = pos[cand] - p
-            inside = cand[d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] <= r2]
-            flag_buf[:] = 0
-            flag_buf[inside] = 1
-            row = int.from_bytes(
-                np.packbits(flag_buf, bitorder="little").tobytes(), "little"
-            )
-            new_rows.append((v, row & ~(1 << v)))
-        return new_rows
+        within[np.arange(len(moved)), moved] = False
+        return _masks_from_bool_matrix(within)
 
     def _rebuild_and_diff(self) -> int:
         old = self._adj
         assert old is not None
         new = unit_disk_adjacency(self._pos, self._radius)
         self._adj = new
-        self._grid = None
         changed = 0
         for v in range(self.n):
             if old[v] != new[v]:

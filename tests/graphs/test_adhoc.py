@@ -69,6 +69,24 @@ class TestMutation:
             net.changed_nodes_since(other.snapshot())
 
 
+class TestZeroRadiusMoves:
+    def test_apply_moves_patches_coincident_edges(self):
+        net = AdHocNetwork(np.array([[1.0, 1.0], [1.0, 1.0], [5.0, 5.0]]), 0.0)
+        assert net.adjacency == [0b010, 0b001, 0]
+        net.positions[1] = (5.0, 5.0)
+        assert net.apply_moves([1]) == 0b111
+        assert net.adjacency == [0, 0b100, 0b010]
+
+    def test_grid_path_at_zero_radius(self):
+        # above the grid cutoff: 600 hosts on a 3-spaced diagonal
+        pos = np.arange(600)[:, None] * 3.0 + np.zeros((1, 2))
+        net = AdHocNetwork(pos, 0.0)
+        assert not any(net.adjacency)
+        net.positions[7] = net.positions[300]
+        assert net.apply_moves([7]) == (1 << 7) | (1 << 300)
+        assert net.neighbors(7) == [300] and net.neighbors(300) == [7]
+
+
 class TestQueries:
     def test_connectivity(self):
         net = tiny_net()

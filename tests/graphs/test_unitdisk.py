@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
+from repro.core.sparse import CSRBatch
 from repro.errors import TopologyError
-from repro.graphs import bitset
+from repro.graphs import bitset, unitdisk
 from repro.graphs.unitdisk import (
     unit_disk_adjacency,
     unit_disk_adjacency_dense,
     unit_disk_adjacency_grid,
+    unit_disk_edge_lists,
     unit_disk_edges,
 )
 
@@ -41,6 +45,28 @@ class TestSmallCases:
         assert unit_disk_adjacency_grid(pos, 0.0) == [0, 0]
 
 
+class TestZeroRadius:
+    """At radius 0 exactly the coincident hosts are adjacent (d ≤ r)."""
+
+    def test_coincident_edge_on_both_sides_of_cutoff(self):
+        # hosts 0 and 1 coincide; the rest sit 3 apart on a diagonal.
+        # n = 100 runs the dense builder, n = 600 the grid builder
+        for n in (100, 600):
+            pos = np.zeros((n, 2))
+            pos[2:] = np.arange(n - 2)[:, None] * 3.0 + 1.0
+            assert unit_disk_adjacency(pos, 0.0)[:3] == [0b10, 0b01, 0]
+
+    def test_edge_lists_have_no_float_warnings(self):
+        pos = np.array([[0.0, 0.0], [0.0, 0.0], [-2.0, 3.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            src, dst = unit_disk_edge_lists(pos, 0.0, np.arange(3), 64)
+            csr = CSRBatch.from_positions(pos, 0.0)
+        assert sorted(zip(src.tolist(), dst.tolist())) == [(0, 1), (1, 0)]
+        assert csr.indptr.tolist() == [0, 1, 2, 2]
+        assert csr.dst.tolist() == [1, 0]
+
+
 class TestValidation:
     def test_bad_shape_rejected(self):
         with pytest.raises(TopologyError, match=r"\(n, 2\)"):
@@ -63,6 +89,14 @@ class TestStrategyEquivalence:
         assert unit_disk_adjacency_dense(pos, radius) == unit_disk_adjacency_grid(
             pos, radius
         )
+
+    def test_tiny_budget_chunks_and_blocks_match(self, rng, monkeypatch):
+        # a 16-word budget forces one packing block per row and many
+        # edge-list chunks; the rows must not change
+        pos = rng.random((90, 2)) * 100.0
+        want = unit_disk_adjacency_dense(pos, 18.0)
+        monkeypatch.setattr(unitdisk, "_CHUNK_WORDS", 16)
+        assert unit_disk_adjacency_grid(pos, 18.0) == want
 
     def test_dispatch_uses_grid_above_cutoff(self, rng):
         pos = rng.random((600, 2)) * 100.0

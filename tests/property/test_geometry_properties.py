@@ -13,27 +13,40 @@ from repro.graphs.unitdisk import (
     unit_disk_adjacency_grid,
 )
 
-positions = hnp.arrays(
-    np.float64,
-    st.tuples(st.integers(0, 40), st.just(2)),
-    elements=st.floats(0.0, 100.0, allow_nan=False),
-)
-radii = st.floats(0.1, 60.0, allow_nan=False)
+
+@st.composite
+def positions(draw):
+    """Up to 40 points plus up to 5 exact copies of drawn rows."""
+    pos = draw(
+        hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(0, 40), st.just(2)),
+            elements=st.floats(0.0, 100.0, allow_nan=False),
+        )
+    )
+    if len(pos):
+        dup = draw(st.lists(st.integers(0, len(pos) - 1), max_size=5))
+        pos = np.concatenate([pos, pos[dup]])
+    return pos
+
+
+# radius 0 keeps exactly the coincident pairs (d <= r is inclusive)
+radii = st.one_of(st.just(0.0), st.floats(0.1, 60.0, allow_nan=False))
 
 
 class TestUnitDisk:
-    @given(positions, radii)
+    @given(positions(), radii)
     @settings(max_examples=100, deadline=None)
     def test_dense_equals_grid(self, pos, radius):
         assert unit_disk_adjacency_dense(pos, radius) == \
             unit_disk_adjacency_grid(pos, radius)
 
-    @given(positions, radii)
+    @given(positions(), radii)
     @settings(max_examples=100, deadline=None)
     def test_output_is_valid_adjacency(self, pos, radius):
         validate_adjacency(unit_disk_adjacency_dense(pos, radius))
 
-    @given(positions, radii, radii)
+    @given(positions(), radii, radii)
     @settings(max_examples=60, deadline=None)
     def test_monotone_in_radius(self, pos, r1, r2):
         small, big = sorted([r1, r2])

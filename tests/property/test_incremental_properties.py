@@ -1,10 +1,12 @@
-"""Property tests for the incremental delta-CDS pipeline (PR 4).
+"""Property tests for the incremental delta-CDS pipeline.
 
 Three layers, each pinned against its from-scratch reference:
 
-1. :class:`UniformGridIndex` queries == brute-force distance filtering,
-   including negative coordinates and points exactly on cell boundaries
-   (the floor-based bucketing's edge cases);
+1. the one grid hash (:func:`unit_disk_edge_lists`, behind
+   :func:`unit_disk_adjacency_grid` and :meth:`CSRBatch.from_positions`)
+   == the dense builder, including negative coordinates, duplicate
+   points, radius 0 and points exactly on cell boundaries (the
+   floor-based bucketing's edge cases);
 2. incrementally maintained adjacency (:meth:`AdHocNetwork.apply_moves`)
    == a full :func:`unit_disk_adjacency` rebuild over random move
    sequences — both the dense and the grid delta strategies;
@@ -14,6 +16,8 @@ Three layers, each pinned against its from-scratch reference:
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
@@ -21,9 +25,14 @@ from hypothesis.extra import numpy as hnp
 from repro.core.cds import compute_cds
 from repro.core.delta import DeltaCDSPipeline
 from repro.core.priority import SCHEMES
-from repro.geometry.spatial_index import UniformGridIndex
+from repro.core.sparse import CSRBatch
+from repro.graphs import adhoc, bitset
 from repro.graphs.adhoc import AdHocNetwork
-from repro.graphs.unitdisk import unit_disk_adjacency
+from repro.graphs.unitdisk import (
+    unit_disk_adjacency,
+    unit_disk_adjacency_dense,
+    unit_disk_adjacency_grid,
+)
 
 # Coordinates straddle zero and land on exact multiples of every radius
 # below, exercising the floor-bucketing seams.  They are quantized to 0.5
@@ -33,52 +42,63 @@ from repro.graphs.unitdisk import unit_disk_adjacency
 # legitimately lies outside the 3x3 cell block (a measure-zero tie the
 # simulator's clamped [0, side] domain cannot produce).
 coords = st.integers(-100, 100).map(lambda k: 0.5 * k)
-radii = st.sampled_from([1.0, 2.5, 5.0, 25.0])
-point_arrays = st.lists(
-    st.tuples(coords, coords), min_size=1, max_size=40
-).map(lambda pts: np.array(pts, dtype=np.float64))
+radii = st.sampled_from([0.0, 1.0, 2.5, 5.0, 25.0])
 
 
-def _brute_query(pts: np.ndarray, q, r: float) -> list[int]:
-    d2 = np.sum((pts - np.asarray(q, dtype=np.float64)) ** 2, axis=1)
-    return [int(i) for i in np.flatnonzero(d2 <= r * r)]
+@st.composite
+def point_arrays(draw):
+    """1-40 quantized points plus up to 5 exact copies of drawn rows."""
+    pts = draw(st.lists(st.tuples(coords, coords), min_size=1, max_size=40))
+    dup = draw(st.lists(st.integers(0, len(pts) - 1), max_size=5))
+    return np.array(pts + [pts[i] for i in dup], dtype=np.float64)
 
 
-class TestGridIndexProperties:
-    @given(point_arrays, radii)
+def _csr_rows(pts: np.ndarray, radius: float) -> list[int]:
+    csr = CSRBatch.from_positions(pts, radius)
+    return [
+        bitset.mask_from_ids(csr.dst[csr.indptr[v]:csr.indptr[v + 1]].tolist())
+        for v in range(len(pts))
+    ]
+
+
+class TestGridHashProperties:
+    @given(point_arrays(), radii)
     @settings(max_examples=150, deadline=None)
-    def test_query_matches_brute_force(self, pts, radius):
-        idx = UniformGridIndex(pts, radius)
-        for q in pts[:8]:
-            assert idx.query(q) == _brute_query(pts, q, radius)
+    def test_grid_and_csr_match_dense(self, pts, radius):
+        dense = unit_disk_adjacency_dense(pts, radius)
+        assert unit_disk_adjacency_grid(pts, radius) == dense
+        assert _csr_rows(pts, radius) == dense
 
-    @given(point_arrays, radii)
+    @given(point_arrays(), radii, st.data())
     @settings(max_examples=100, deadline=None)
-    def test_cell_block_is_candidate_superset(self, pts, radius):
-        idx = UniformGridIndex(pts, radius)
-        for q in pts[:8]:
-            block = set(idx.cell_block(q))
-            assert block >= set(_brute_query(pts, q, radius))
-
-    @given(point_arrays, radii, st.data())
-    @settings(max_examples=100, deadline=None)
-    def test_query_after_incremental_moves(self, pts, radius, data):
-        """move() re-bucketing keeps queries exact (aliased array mutated)."""
-        idx = UniformGridIndex(pts, radius)
-        n = len(pts)
-        for _ in range(data.draw(st.integers(1, 5))):
-            i = data.draw(st.integers(0, n - 1))
-            pts[i] = data.draw(st.tuples(coords, coords))
-            idx.move(i)
-        for q in pts[:8]:
-            assert idx.query(q) == _brute_query(pts, q, radius)
+    def test_grid_mover_rows_after_moves(self, pts, radius, data):
+        """The grid patch path (cutoff forced to 0) stays exact when hosts
+        jump onto seams, across zero, or onto each other."""
+        net = AdHocNetwork(pts, radius)
+        prev = list(net.adjacency)
+        n = net.n
+        with mock.patch.object(adhoc, "_GRID_CUTOFF", 0):
+            for _ in range(data.draw(st.integers(1, 5))):
+                ids = data.draw(
+                    st.lists(st.integers(0, n - 1), min_size=1, max_size=3)
+                )
+                for i in ids:
+                    net.positions[i] = data.draw(st.tuples(coords, coords))
+                changed = net.apply_moves(ids)
+                cur = net.adjacency
+                assert cur == unit_disk_adjacency_dense(net.positions, radius)
+                assert changed == bitset.mask_from_ids(
+                    [v for v in range(n) if cur[v] != prev[v]]
+                )
+                prev = list(cur)
 
     def test_point_on_cell_boundary(self):
         # x == k * radius exactly: the point sits on the seam between cells
         pts = np.array([[25.0, 0.0], [25.0 - 1e-9, 0.0], [-25.0, -25.0]])
-        idx = UniformGridIndex(pts, 25.0)
-        for q in pts:
-            assert idx.query(q) == _brute_query(pts, q, 25.0)
+        dense = unit_disk_adjacency_dense(pts, 25.0)
+        assert dense == [0b010, 0b001, 0]
+        assert unit_disk_adjacency_grid(pts, 25.0) == dense
+        assert _csr_rows(pts, 25.0) == dense
 
 
 # small regions force topology churn; mix fractional and full-set moves so
