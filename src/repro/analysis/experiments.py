@@ -30,7 +30,6 @@ from repro.core.priority import PAPER_SERIES_ORDER
 from repro.exec.executor import SweepExecutor, SweepProgress
 from repro.graphs.generators import scaled_side
 from repro.simulation.config import SimulationConfig
-from repro.simulation.runner import batches_cells
 
 __all__ = [
     "AlgorithmMatrixResult",
@@ -137,7 +136,6 @@ def _sweep(
     checkpoint_dir: str | Path | None = None,
     progress: Callable[[SweepProgress], None] | None = None,
     density_scaled: bool = False,
-    batch_cells: bool | None = None,
 ) -> tuple[dict[str, list[SeriesSummary]], dict[str, list[tuple[float, ...]]]]:
     """Run the whole figure as ONE executor sweep.
 
@@ -151,16 +149,7 @@ def _sweep(
     and therefore expected degree — at the paper's N=100 level.  This is
     what makes N ≫ 100 scenario families meaningful: in the fixed 100×100
     arena, N = 10k would be a near-clique.
-
-    ``batch_cells`` routes the sweep through
-    :meth:`SweepExecutor.run_batched` — each cell's trials become ONE
-    lockstep :func:`repro.simulation.batch_lifespan.run_lifespan_batch`
-    pass instead of per-trial pool tasks (bit-identical metrics; same
-    checkpoint records, so the two modes resume each other).  ``None``
-    defers to :func:`repro.simulation.runner.batches_cells`.
     """
-    if batch_cells is None:
-        batch_cells = batches_cells(base.backend)
 
     def overrides(n: int) -> dict:
         out = {"n_hosts": n}
@@ -176,8 +165,7 @@ def _sweep(
     executor = SweepExecutor(
         processes=processes, checkpoint=checkpoint_dir, progress=progress
     )
-    run = executor.run_batched if batch_cells else executor.run
-    outcome = run(
+    outcome = executor.run(
         cells, trials, root_seed=root_seed, parallel=parallel
     )
     out: dict[str, list[SeriesSummary]] = {s: [] for s in schemes}
@@ -205,7 +193,6 @@ def run_figure10(
     backend: str = "scalar",
     density_scaled: bool = False,
     algorithm: str = "wu_li",
-    batch_cells: bool | None = None,
     memory_budget_mb: float | None = None,
 ) -> ExperimentResult:
     """Figure 10: average |G'| per interval vs N for every scheme.
@@ -215,9 +202,7 @@ def run_figure10(
     ``backend="sparse"`` + ``density_scaled=True`` lift the sweep to
     N = 10k scenario families (same masks; see EXPERIMENTS.md).
     ``algorithm`` swaps the CDS construction for every cell (any name in
-    :func:`repro.core.registry.algorithm_names`).  ``batch_cells`` (auto
-    for ``sparse``) runs each cell's trials as one stacked engine pass —
-    see :func:`_sweep`.
+    :func:`repro.core.registry.algorithm_names`).
     """
     base = SimulationConfig(
         scheme="id", drain_model=drain_model, backend=backend,
@@ -227,7 +212,7 @@ def run_figure10(
         base, list(schemes), list(n_values), trials, root_seed,
         lambda m: m.mean_cds_size, parallel,
         processes=processes, checkpoint_dir=checkpoint_dir, progress=progress,
-        density_scaled=density_scaled, batch_cells=batch_cells,
+        density_scaled=density_scaled,
     )
     return ExperimentResult(
         figure="Figure 10",
@@ -268,7 +253,6 @@ def run_lifespan_figure(
     backend: str = "scalar",
     density_scaled: bool = False,
     algorithm: str = "wu_li",
-    batch_cells: bool | None = None,
     memory_budget_mb: float | None = None,
 ) -> ExperimentResult:
     """Figures 11/12/13: average lifespan vs N under one drain model.
@@ -278,9 +262,7 @@ def run_lifespan_figure(
     ``backend="sparse"`` + ``density_scaled=True`` lift the sweep to
     N = 10k scenario families (same masks; see EXPERIMENTS.md).
     ``algorithm`` swaps the CDS construction for every cell (any name in
-    :func:`repro.core.registry.algorithm_names`).  ``batch_cells`` (auto
-    for ``sparse``) runs each cell's trials as one stacked engine pass —
-    see :func:`_sweep`.
+    :func:`repro.core.registry.algorithm_names`).
     """
     figure, formula = _FIGURE_BY_MODEL.get(drain_model, (f"({drain_model})", ""))
     base = SimulationConfig(
@@ -291,7 +273,7 @@ def run_lifespan_figure(
         base, list(schemes), list(n_values), trials, root_seed,
         lambda m: float(m.lifespan), parallel,
         processes=processes, checkpoint_dir=checkpoint_dir, progress=progress,
-        density_scaled=density_scaled, batch_cells=batch_cells,
+        density_scaled=density_scaled,
     )
     notes = {
         "constant": (

@@ -43,7 +43,7 @@ from repro.core.registry import EXECUTION_BACKENDS, algorithm_names
 from repro.graphs.generators import paper_example_graph, random_connected_network
 from repro.io.topology_io import load_network
 from repro.simulation.config import SimulationConfig
-from repro.simulation.runner import batches_cells, run_trials
+from repro.simulation.runner import run_trials
 
 __all__ = ["main", "build_parser"]
 
@@ -89,7 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="CDS backend: scalar (scratch below 48 hosts, delta above), "
         "delta (the packed-word incremental pipeline at any size), or "
         "sparse (the incremental CSR pipeline) — bit-identical results; "
-        "delta wins at the paper's N=100, sparse from N~1000",
+        "measured on density-scaled el2 fields, scalar is fastest up to "
+        "N=1000 and sparse from N=2048 (see EXPERIMENTS.md)",
     )
     l.add_argument(
         "--memory-budget-mb", type=float, default=None, metavar="MB",
@@ -101,12 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--algorithm", default="wu_li", choices=algorithm_names(),
         help="CDS construction from the repro.core.registry catalog "
         "(default: the paper's marking + pruning path)",
-    )
-    l.add_argument(
-        "--no-batch-cells", action="store_true",
-        help="force per-trial shards even on the batched backends "
-        "(default: each scheme's trials run as one stacked engine pass "
-        "when the backend is sparse; results are identical)",
     )
 
     f = sub.add_parser("figure", help="regenerate a paper figure")
@@ -132,19 +127,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     f.add_argument(
         "--backend", default="scalar", choices=list(EXECUTION_BACKENDS),
-        help="CDS backend per shard (bit-identical results; use sparse "
-        "for N >= 1000 sweeps)",
+        help="CDS backend per shard (bit-identical results; measured on "
+        "density-scaled el2 fields, scalar is fastest up to N=1000 and "
+        "sparse from N=2048; see EXPERIMENTS.md)",
     )
     f.add_argument(
         "--memory-budget-mb", type=float, default=None, metavar="MB",
         help="chunking budget for the sparse engine "
         "(bit-identical at any positive value)",
-    )
-    f.add_argument(
-        "--no-batch-cells", action="store_true",
-        help="force per-trial shards even on the batched backends "
-        "(default: each cell's trials run as one stacked engine pass "
-        "when the backend is sparse; results are identical)",
     )
     f.add_argument(
         "--density-scaled", action="store_true",
@@ -427,9 +417,7 @@ def _cmd_lifespan(args) -> int:
         checkpoint=args.resume,
         progress=progress_printer(),
     )
-    batch = batches_cells(args.backend) and not args.no_batch_cells
-    run = executor.run_batched if batch else executor.run
-    outcome = run(cells, args.trials, root_seed=args.seed)
+    outcome = executor.run(cells, args.trials, root_seed=args.seed)
     rows = []
     for scheme in schemes:
         metrics = outcome.cell(scheme)
@@ -464,7 +452,6 @@ def _cmd_figure(args) -> int:
         density_scaled=args.density_scaled,
         algorithm=args.algorithm,
         memory_budget_mb=args.memory_budget_mb,
-        batch_cells=False if args.no_batch_cells else None,
     )
     if args.number == 10:
         result = run_figure10(**common)

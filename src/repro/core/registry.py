@@ -30,8 +30,7 @@ Capability flags tell the campaign layers what an algorithm can do:
   (:class:`repro.core.delta.DeltaCDSPipeline`); only the marking path has
   one, because the 2-hop locality argument is a marking-process theorem;
 * ``supports_sparse`` — the persistent-CSR incremental sparse pipeline
-  (:mod:`repro.core.sparse_delta`) and the batched CSR engine exist;
-  again marking-only today.  The entries of :data:`EXECUTION_BACKENDS`
+  (:mod:`repro.core.sparse_delta`) exists; again marking-only today.  The entries of :data:`EXECUTION_BACKENDS`
   are *execution backends of the Wu–Li algorithm*, not algorithms
   themselves;
 * ``connectivity`` — 2 for constructions whose backbone survives the loss

@@ -99,63 +99,6 @@ class _Reply:
     dur_s: float
 
 
-@dataclass(frozen=True)
-class _BatchReply:
-    """What a batched-cell execution sends back across the pool boundary."""
-
-    cell: str
-    trials: tuple[int, ...]
-    attempt: int
-    ok: bool
-    #: index-aligned with ``trials``.
-    metrics: list[TrialMetrics] | None
-    obs_snapshot: dict[str, Any] | None
-    error: str | None
-    dur_s: float
-
-
-def _exec_cell(
-    task: tuple[str, SimulationConfig, int | None, tuple[int, ...], int, bool],
-) -> _BatchReply:
-    """Run one cell's missing trials as a lockstep batch; never raises.
-
-    The batched twin of :func:`_exec_shard`: one task covers a whole
-    cell, executed through :func:`repro.simulation.batch_lifespan.
-    run_lifespan_batch` on exactly the per-trial rng streams the sharded
-    path would use, so the metrics (and checkpoint records) it produces
-    are interchangeable with per-trial execution.
-    """
-    cell, config, root_seed, trial_ids, attempt, capture = task
-    from repro.simulation.batch_lifespan import run_lifespan_batch
-
-    t0 = time.perf_counter()
-    try:
-        _maybe_inject_fault(trial_ids[0], attempt)
-        if capture:
-            with obs.isolated_capture() as reg:
-                results = run_lifespan_batch(
-                    config, len(trial_ids),
-                    root_seed=root_seed, trial_ids=trial_ids,
-                )
-            snapshot: dict[str, Any] | None = reg.snapshot()
-        else:
-            results = run_lifespan_batch(
-                config, len(trial_ids),
-                root_seed=root_seed, trial_ids=trial_ids,
-            )
-            snapshot = None
-        return _BatchReply(
-            cell, trial_ids, attempt, True,
-            [r.metrics for r in results], snapshot, None,
-            time.perf_counter() - t0,
-        )
-    except Exception as exc:  # noqa: BLE001 - shipped to the parent verbatim
-        return _BatchReply(
-            cell, trial_ids, attempt, False, None, None,
-            f"{type(exc).__name__}: {exc}", time.perf_counter() - t0,
-        )
-
-
 def _exec_shard(
     task: tuple[str, SimulationConfig, int | None, int, int, bool],
 ) -> _Reply:
@@ -397,122 +340,7 @@ class SweepExecutor:
         )
 
         results: dict[tuple[str, int], TrialMetrics] = {}
-        restored = 0
         pending: list[tuple[ShardSpec, int]] = []
-        for spec in shards:
-            rec = done_records.get(spec.key)
-            if rec is not None:
-                results[(spec.cell, spec.trial)] = TrialMetrics.from_dict(
-                    rec["metrics"]
-                )
-                if capture and rec.get("obs"):
-                    obs.get_registry().merge(rec["obs"])
-                restored += 1
-            else:
-                pending.append((spec, 0))
-
-        total = len(shards)
-        retried = 0
-        done = restored
-        if self.progress is not None:
-            for spec in shards:
-                if (spec.cell, spec.trial) in results:
-                    self.progress(
-                        SweepProgress(
-                            done=min(done, total), total=total,
-                            restored=restored, retried=retried,
-                            cell=spec.cell, trial=spec.trial,
-                            source="restored",
-                        )
-                    )
-                    break  # one tick is enough to announce the restore count
-
-        procs = self.processes if self.processes is not None else (
-            os.cpu_count() or 1
-        )
-        serial = not parallel or procs <= 1 or len(pending) <= 1
-        try:
-            if pending:
-                runner = self._run_serial if serial else self._run_pooled
-                executed_stats = runner(
-                    pending, capture, store, results,
-                    total=total, restored=restored, done_start=done,
-                )
-                retried = executed_stats
-        finally:
-            if store is not None:
-                store.close()
-
-        outcome = SweepOutcome(
-            cells={
-                name: [results[(name, t)] for t in range(trials)]
-                for name, _ in pairs
-            },
-            trials=trials,
-            executed=len(pending),
-            restored=restored,
-            retried=retried,
-            wall_s=time.perf_counter() - t0,
-        )
-        return outcome
-
-    def run_batched(
-        self,
-        cells: Mapping[str, SimulationConfig]
-        | Sequence[tuple[str, SimulationConfig]],
-        trials: int,
-        *,
-        root_seed: int | None = None,
-        parallel: bool = True,
-    ) -> SweepOutcome:
-        """Like :meth:`run`, but each cell's trials run as ONE batched shard.
-
-        Every still-missing trial of a cell is executed in a single
-        :func:`repro.simulation.batch_lifespan.run_lifespan_batch` call —
-        one stacked engine pass per update interval instead of one
-        process-pool task per trial — which is where the sparse backend
-        earns its keep in figure campaigns.
-
-        Checkpoint interop is total: shards are keyed identically to
-        :meth:`run` (one record per trial, same
-        ``(fingerprint, root_seed, trial)`` key), so a sweep started
-        per-trial can resume batched and vice versa, bit-identically.
-        Only the trials a checkpoint is missing enter the batch.  Retries,
-        backoff, and timeout pool-rebuild operate at cell granularity; the
-        cost attribution (``dur_s``) of a batched cell is split evenly
-        over its trials.
-        """
-        pairs = list(cells.items()) if isinstance(cells, Mapping) else list(cells)
-        if len({name for name, _ in pairs}) != len(pairs):
-            raise ConfigurationError("duplicate cell names in sweep")
-        if trials < 0:
-            raise ConfigurationError(f"trials must be >= 0, got {trials}")
-        if not pairs or trials == 0:
-            return SweepOutcome(
-                cells={name: [] for name, _ in pairs},
-                trials=trials,
-                executed=0,
-                restored=0,
-                retried=0,
-                wall_s=0.0,
-            )
-
-        t0 = time.perf_counter()
-        fps = {name: config_fingerprint(cfg) for name, cfg in pairs}
-        shards = [
-            ShardSpec(name, cfg, root_seed, t, fps[name])
-            for name, cfg in pairs
-            for t in range(trials)
-        ]
-        store = self._bind_store(fps, root_seed, trials)
-        done_records = store.load() if store is not None else {}
-        capture = (
-            obs.enabled() if self.capture_obs is None else self.capture_obs
-        )
-
-        results: dict[tuple[str, int], TrialMetrics] = {}
-        restored = 0
-        missing: dict[str, list[ShardSpec]] = {}
         first_restored: ShardSpec | None = None
         for spec in shards:
             rec = done_records.get(spec.key)
@@ -522,37 +350,31 @@ class SweepExecutor:
                 )
                 if capture and rec.get("obs"):
                     obs.get_registry().merge(rec["obs"])
-                restored += 1
                 if first_restored is None:
                     first_restored = spec
             else:
-                missing.setdefault(spec.cell, []).append(spec)
+                pending.append((spec, 0))
 
         total = len(shards)
+        restored = len(results)
         retried = 0
-        done = restored
         if first_restored is not None:
+            # one tick is enough to announce the restore count
             self._tick(
-                done=min(done, total), total=total, restored=restored,
+                done=restored, total=total, restored=restored,
                 retried=retried, spec=first_restored, source="restored",
             )
 
-        pending: list[tuple[list[ShardSpec], int]] = [
-            (specs, 0) for specs in missing.values()
-        ]
-        executed = sum(len(specs) for specs, _ in pending)
         procs = self.processes if self.processes is not None else (
             os.cpu_count() or 1
         )
         serial = not parallel or procs <= 1 or len(pending) <= 1
         try:
             if pending:
-                runner = (
-                    self._run_cells_serial if serial else self._run_cells_pooled
-                )
+                runner = self._run_serial if serial else self._run_pooled
                 retried = runner(
                     pending, capture, store, results,
-                    total=total, restored=restored, done_start=done,
+                    total=total, restored=restored, done_start=restored,
                 )
         finally:
             if store is not None:
@@ -564,11 +386,12 @@ class SweepExecutor:
                 for name, _ in pairs
             },
             trials=trials,
-            executed=executed,
+            executed=len(pending),
             restored=restored,
             retried=retried,
             wall_s=time.perf_counter() - t0,
         )
+        return outcome
 
     # -- internals -----------------------------------------------------------
 
@@ -618,42 +441,6 @@ class SweepExecutor:
                     "obs": reply.obs_snapshot,
                 }
             )
-
-    def _absorb_batch(
-        self,
-        reply: _BatchReply,
-        specs: Sequence[ShardSpec],
-        capture: bool,
-        store: CheckpointStore | None,
-        results: dict[tuple[str, int], TrialMetrics],
-    ) -> None:
-        """Fold one successful batched cell into results/obs/checkpoint.
-
-        One checkpoint record per trial — the exact shape :meth:`run`
-        writes — so batched and per-trial sweeps restore each other.  The
-        obs snapshot rides on the *first* record only: a restore merges
-        every stored snapshot, and the batch produced one snapshot for
-        the whole cell, so duplicating it would multiply the counters.
-        """
-        assert reply.metrics is not None
-        if capture and reply.obs_snapshot is not None:
-            obs.get_registry().merge(reply.obs_snapshot)
-        per_trial_s = reply.dur_s / max(1, len(specs))
-        for i, spec in enumerate(specs):
-            metrics = reply.metrics[i]
-            results[(spec.cell, spec.trial)] = metrics
-            if store is not None:
-                store.append(
-                    {
-                        "k": spec.key,
-                        "cell": spec.cell,
-                        "trial": spec.trial,
-                        "attempts": reply.attempt + 1,
-                        "dur_s": per_trial_s,
-                        "metrics": metrics.to_dict(),
-                        "obs": reply.obs_snapshot if i == 0 else None,
-                    }
-                )
 
     def _budget_check(self, spec: ShardSpec, attempt: int, cause: str) -> int:
         """Next attempt number, or raise once the budget is exhausted."""
@@ -841,139 +628,6 @@ class SweepExecutor:
                     delay = max(
                         self._retry_delay_s(spec, attempt)
                         for spec, attempt in next_wave
-                    )
-                    if delay > 0.0:
-                        time.sleep(delay)
-                wave = next_wave
-        finally:
-            pool.terminate()
-            pool.join()
-        return retried
-
-    def _run_cells_serial(
-        self,
-        pending: list[tuple[list[ShardSpec], int]],
-        capture: bool,
-        store: CheckpointStore | None,
-        results: dict[tuple[str, int], TrialMetrics],
-        *,
-        total: int,
-        restored: int,
-        done_start: int,
-    ) -> int:
-        retried = 0
-        done = done_start
-        queue = list(pending)
-        while queue:
-            specs, attempt = queue.pop(0)
-            reply = _exec_cell(
-                (specs[0].cell, specs[0].config, specs[0].root_seed,
-                 tuple(s.trial for s in specs), attempt, capture)
-            )
-            if reply.ok:
-                self._absorb_batch(reply, specs, capture, store, results)
-                done += len(specs)
-                self._tick(
-                    done=done, total=total, restored=restored,
-                    retried=retried, spec=specs[0],
-                    source="retry" if attempt else "run",
-                )
-            else:
-                next_attempt = self._budget_check(
-                    specs[0], attempt, reply.error or "unknown error"
-                )
-                retried += 1
-                delay = self._retry_delay_s(specs[0], next_attempt)
-                if delay > 0.0 and len(queue) == 0:
-                    time.sleep(delay)
-                queue.append((specs, next_attempt))
-        return retried
-
-    def _run_cells_pooled(
-        self,
-        pending: list[tuple[list[ShardSpec], int]],
-        capture: bool,
-        store: CheckpointStore | None,
-        results: dict[tuple[str, int], TrialMetrics],
-        *,
-        total: int,
-        restored: int,
-        done_start: int,
-    ) -> int:
-        ctx = (
-            mp.get_context(self.start_method)
-            if self.start_method is not None
-            else mp.get_context()
-        )
-        procs = self.processes if self.processes is not None else (
-            os.cpu_count() or 1
-        )
-        retried = 0
-        done = done_start
-        wave = list(pending)
-        pool = ctx.Pool(min(procs, max(1, len(wave))))
-        try:
-            while wave:
-                by_cell = {
-                    specs[0].cell: (specs, attempt) for specs, attempt in wave
-                }
-                tasks = [
-                    (specs[0].cell, specs[0].config, specs[0].root_seed,
-                     tuple(s.trial for s in specs), attempt, capture)
-                    for specs, attempt in wave
-                ]
-                next_wave: list[tuple[list[ShardSpec], int]] = []
-                deferred: TrialExecutionError | None = None
-                it = pool.imap_unordered(_exec_cell, tasks)
-                while by_cell:
-                    try:
-                        reply = self._next_reply(it)
-                    except mp.TimeoutError:
-                        pool.terminate()
-                        pool.join()
-                        for specs, attempt in by_cell.values():
-                            try:
-                                next_attempt = self._budget_check(
-                                    specs[0], attempt,
-                                    "worker crashed or timed out",
-                                )
-                            except TrialExecutionError as exc:
-                                if deferred is None:
-                                    deferred = exc
-                                continue
-                            retried += 1
-                            next_wave.append((specs, next_attempt))
-                        by_cell.clear()
-                        if next_wave and deferred is None:
-                            pool = ctx.Pool(min(procs, len(next_wave)))
-                        break
-                    specs, attempt = by_cell.pop(reply.cell)
-                    if reply.ok:
-                        self._absorb_batch(reply, specs, capture, store, results)
-                        done += len(specs)
-                        self._tick(
-                            done=done, total=total, restored=restored,
-                            retried=retried, spec=specs[0],
-                            source="retry" if attempt else "run",
-                        )
-                    else:
-                        try:
-                            next_attempt = self._budget_check(
-                                specs[0], attempt,
-                                reply.error or "unknown error",
-                            )
-                        except TrialExecutionError as exc:
-                            if deferred is None:
-                                deferred = exc
-                            continue
-                        retried += 1
-                        next_wave.append((specs, next_attempt))
-                if deferred is not None:
-                    raise deferred
-                if next_wave:
-                    delay = max(
-                        self._retry_delay_s(specs[0], attempt)
-                        for specs, attempt in next_wave
                     )
                     if delay > 0.0:
                         time.sleep(delay)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from typing import Any
 
 import numpy as np
@@ -103,10 +104,12 @@ class TenantState:
         Membership changes (join/leave) renumber indices, so they report
         *all* rows changed; callers treat that as a pipeline cold start
         (the cached engine resets on a size change anyway).  Invalid
-        updates (joining a member, moving a ghost) raise — deliberately:
-        a tenant feeding garbage is exactly what the supervisor's
-        quarantine escalation is for.
+        updates (joining a member, moving a ghost, a NaN or infinite
+        coordinate, energy or drain) raise before any state changes —
+        deliberately: a tenant feeding garbage is exactly what the
+        supervisor's quarantine escalation is for.
         """
+        _reject_non_finite(update)
         if isinstance(update, Join):
             changed = self._join(update)
         elif isinstance(update, Leave):
@@ -198,3 +201,24 @@ class TenantState:
         """SHA-256 over the canonical document — equal iff states equal."""
         doc = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(doc.encode("utf-8")).hexdigest()
+
+
+def _reject_non_finite(update: Update) -> None:
+    """Raise if ``update`` carries a NaN or infinite number."""
+    if isinstance(update, (Join, Move)) and not (
+        math.isfinite(update.x) and math.isfinite(update.y)
+    ):
+        raise TopologyError(
+            f"{type(update).__name__.lower()} of node {update.node} to a "
+            f"non-finite position ({update.x!r}, {update.y!r})"
+        )
+    if isinstance(update, Join) and not math.isfinite(update.energy):
+        raise ConfigurationError(
+            f"join of node {update.node} with non-finite energy "
+            f"{update.energy!r}"
+        )
+    if isinstance(update, Drain) and not math.isfinite(update.amount):
+        raise ConfigurationError(
+            f"drain of node {update.node} by non-finite amount "
+            f"{update.amount!r}"
+        )

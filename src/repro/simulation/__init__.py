@@ -7,7 +7,6 @@ condition); the runner fans trials out over processes with independent
 seed streams.
 """
 
-from repro.simulation.batch_lifespan import run_lifespan_batch
 from repro.simulation.config import SimulationConfig
 from repro.simulation.interval import IntervalOutcome, run_interval
 from repro.simulation.lifespan import LifespanResult, LifespanSimulator
@@ -30,7 +29,6 @@ __all__ = [
     "run_interval",
     "LifespanResult",
     "LifespanSimulator",
-    "run_lifespan_batch",
     "IntervalMetrics",
     "TrialMetrics",
     "spawn_generators",

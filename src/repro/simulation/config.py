@@ -66,10 +66,9 @@ class SimulationConfig:
     #: ``repro.core.delta.INCREMENTAL_MIN_HOSTS`` hosts, the delta
     #: pipeline above), ``delta`` (the delta pipeline at any size), or
     #: ``sparse`` (the persistent-CSR incremental pipeline of
-    #: :mod:`repro.core.sparse_delta`; built for n ≳ 1000, and the
-    #: backend whose batched figure cells stack trials into one CSR
-    #: engine pass).  All backends produce bit-identical masks and
-    #: ``PruneStats``.
+    #: :mod:`repro.core.sparse_delta`; the fastest from n ≈ 2000 on
+    #: density-scaled fields).  All backends produce bit-identical masks
+    #: and ``PruneStats``.
     backend: str = "scalar"
     #: CDS construction algorithm, one of :func:`repro.core.registry.
     #: algorithm_names` — ``wu_li`` is the paper's marking + pruning path

@@ -41,20 +41,10 @@ from repro.simulation.metrics import TrialMetrics
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.exec.executor import SweepProgress
 
-__all__ = ["TrialRunner", "batches_cells", "run_trials"]
+__all__ = ["TrialRunner", "run_trials"]
 
 #: the cell name single-config runs are checkpointed under.
 _SINGLE_CELL = "trials"
-
-
-def batches_cells(backend: str) -> bool:
-    """Whether a cell's trials default to one stacked engine pass.
-
-    Only ``sparse`` stacks them (:func:`repro.simulation.batch_lifespan.
-    run_lifespan_batch`); ``batch_cells=False`` / ``--no-batch-cells``
-    opt out.  Results are identical either way.
-    """
-    return backend == "sparse"
 
 
 @dataclass(frozen=True)
@@ -79,23 +69,13 @@ class TrialRunner:
         parallel: bool = True,
         checkpoint_dir: str | Path | None = None,
         progress: Callable[[SweepProgress], None] | None = None,
-        batch_cells: bool | None = None,
     ) -> list[TrialMetrics]:
-        """Execute ``trials`` independent lifespan runs of ``config``.
-
-        ``batch_cells`` routes the cell through
-        :meth:`SweepExecutor.run_batched` — all trials advance as ONE
-        lockstep batched-engine pass per interval instead of per-trial
-        pool tasks (bit-identical metrics, interchangeable checkpoints).
-        ``None`` defers to :func:`batches_cells`.
-        """
+        """Execute ``trials`` independent lifespan runs of ``config``."""
         # deferred so ``repro.exec`` and ``repro.simulation`` can be
         # imported in either order (exec's modules import simulation
         # submodules, whose package init imports this module)
         from repro.exec.executor import SweepExecutor
 
-        if batch_cells is None:
-            batch_cells = batches_cells(config.backend)
         executor = SweepExecutor(
             processes=self.processes,
             start_method=self.start_method,
@@ -104,8 +84,7 @@ class TrialRunner:
             checkpoint=checkpoint_dir,
             progress=progress,
         )
-        run = executor.run_batched if batch_cells else executor.run
-        outcome = run(
+        outcome = executor.run(
             [(_SINGLE_CELL, config)],
             trials,
             root_seed=self.root_seed,
@@ -124,7 +103,6 @@ def run_trials(
     start_method: str | None = None,
     checkpoint_dir: str | Path | None = None,
     progress: Callable[[SweepProgress], None] | None = None,
-    batch_cells: bool | None = None,
 ) -> list[TrialMetrics]:
     """Functional one-shot form of :class:`TrialRunner`."""
     return TrialRunner(
@@ -137,5 +115,4 @@ def run_trials(
         parallel=parallel,
         checkpoint_dir=checkpoint_dir,
         progress=progress,
-        batch_cells=batch_cells,
     )

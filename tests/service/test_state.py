@@ -114,3 +114,49 @@ class TestValidation:
         st = _fresh(3)
         with pytest.raises(ConfigurationError, match="already seeded"):
             st.seed_population(np.zeros((2, 2)))
+
+
+class TestNonFiniteRejected:
+    """A NaN or infinite number in an update is rejected before any state
+    changes: the tenant keeps serving, and the node can still join."""
+
+    @pytest.mark.parametrize(
+        "update, error",
+        [
+            (Join(6, float("nan"), 10.0), TopologyError),
+            (Join(6, 10.0, float("inf")), TopologyError),
+            (Join(6, 10.0, 10.0, energy=float("nan")), ConfigurationError),
+            (Join(6, 10.0, 10.0, energy=float("inf")), ConfigurationError),
+            (Move(2, float("inf"), 10.0), TopologyError),
+            (Move(2, 10.0, float("-inf")), TopologyError),
+            (Move(2, float("nan"), float("nan")), TopologyError),
+            (Drain(2, float("nan")), ConfigurationError),
+            (Drain(2, float("-inf")), ConfigurationError),
+        ],
+        ids=[
+            "join-nan-x", "join-inf-y", "join-nan-energy", "join-inf-energy",
+            "move-inf-x", "move-neg-inf-y", "move-nan", "drain-nan",
+            "drain-neg-inf",
+        ],
+    )
+    def test_rejected_update_leaves_state_unchanged(self, update, error):
+        st = _fresh(6)
+        before = (st.n, list(st.ids), list(st.adjacency), st.seq, st.digest())
+        with pytest.raises(error, match="non-finite"):
+            st.apply(update)
+        after = (st.n, list(st.ids), list(st.adjacency), st.seq, st.digest())
+        assert after == before
+
+    def test_tenant_keeps_working_after_a_rejection(self):
+        st = _fresh(6)
+        with pytest.raises(TopologyError):
+            st.apply(Join(6, float("nan"), 10.0))
+        with pytest.raises(TopologyError):
+            st.apply(Move(2, float("inf"), 10.0))
+        st.apply(Join(6, 10.0, 10.0))
+        st.apply(Leave(0))
+        assert st.ids == [1, 2, 3, 4, 5, 6]
+        ref = _fresh(6)
+        ref.apply(Join(6, 10.0, 10.0))
+        ref.apply(Leave(0))
+        assert st.digest() == ref.digest()

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.simulation.batch_lifespan import run_lifespan_batch
 from repro.simulation.config import SimulationConfig
 from repro.simulation.lifespan import LifespanSimulator
 
@@ -62,22 +61,3 @@ class TestAlternativeAlgorithmLifespans:
         for record in result.metrics.intervals:
             assert record.cds_size == result.config.n_hosts
 
-
-class TestBatchFallback:
-    def test_scalar_fallback_matches_sequential_sims(self):
-        """Batch runner can't vectorize non-wu_li algorithms; it must fall
-        back to per-trial simulators with the same per-trial rng streams."""
-        from repro.simulation.batch_lifespan import generator_for_trial
-
-        cfg = _cfg(algorithm="energy_greedy")
-        batch = run_lifespan_batch(cfg, trials=3, root_seed=99)
-        assert len(batch) == 3
-        for t, got in enumerate(batch):
-            ref = LifespanSimulator(cfg, rng=generator_for_trial(99, t)).run()
-            assert got.lifespan == ref.lifespan
-
-    def test_wu_li_batch_path_untouched(self):
-        cfg = _cfg(algorithm="wu_li")
-        batch = run_lifespan_batch(cfg, trials=2, root_seed=42)
-        ref = run_lifespan_batch(_cfg(), trials=2, root_seed=42)
-        assert [r.lifespan for r in batch] == [r.lifespan for r in ref]

@@ -9,11 +9,12 @@ from repro.core.priority import scheme_by_name
 from repro.energy.accounting import EnergyAccountant
 from repro.energy.battery import BatteryBank
 from repro.energy.models import FixedDrain
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.graphs.generators import random_connected_network
 from repro.simulation.config import SimulationConfig
 from repro.simulation.interval import run_interval
 from repro.simulation.lifespan import LifespanSimulator
+from repro.simulation.rng import generator_for_trial
 
 
 class TestRunInterval:
@@ -153,3 +154,50 @@ class TestHeterogeneousBatteries:
             ms = run_trials(cfg, 6, root_seed=55, parallel=False)
             means[scheme] = np.mean([m.lifespan for m in ms])
         assert means["el1"] > means["id"]
+
+
+def _sparse_and_scalar(cfg: SimulationConfig, root_seed: int, trials: int):
+    """Per-trial results of ``cfg`` on the sparse and the scalar backend."""
+
+    def run(backend: str):
+        c = cfg.with_overrides(backend=backend)
+        return [
+            LifespanSimulator(c, rng=generator_for_trial(root_seed, t)).run()
+            for t in range(trials)
+        ]
+
+    return run("sparse"), run("scalar")
+
+
+class TestBackendSwitch:
+    def test_sparse_backend_bit_identical(self):
+        cfg = SimulationConfig(n_hosts=30, scheme="el1", stability=0.7)
+        sparse, scalar = _sparse_and_scalar(cfg, 8, 2)
+        assert [r.metrics for r in sparse] == [r.metrics for r in scalar]
+
+    def test_sparse_matches_scalar_with_staggered_deaths(self):
+        # jittered batteries make the trials die at different intervals
+        cfg = SimulationConfig(
+            n_hosts=20, scheme="nd", initial_energy_jitter=0.5
+        )
+        sparse, scalar = _sparse_and_scalar(cfg, 9, 4)
+        assert len({r.lifespan for r in scalar}) > 1
+        assert [r.metrics for r in sparse] == [r.metrics for r in scalar]
+
+    def test_sparse_shadow_check_passes_and_matches_scalar(self):
+        cfg = SimulationConfig(n_hosts=15, scheme="nd", shadow_check=True)
+        sparse, scalar = _sparse_and_scalar(cfg, 3, 2)
+        assert all(r.lifespan > 0 for r in sparse)
+        assert [r.metrics for r in sparse] == [r.metrics for r in scalar]
+
+    def test_backend_validated(self):
+        with pytest.raises(ConfigurationError):
+            SimulationConfig(n_hosts=10, backend="simd")
+
+    def test_backend_changes_fingerprint(self):
+        # deliberate: checkpointed sweeps must not mix backends silently
+        from repro.exec.shards import config_fingerprint
+
+        base = SimulationConfig(n_hosts=10)
+        sparse = base.with_overrides(backend="sparse")
+        assert config_fingerprint(base) != config_fingerprint(sparse)
