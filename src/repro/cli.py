@@ -665,7 +665,6 @@ def _cmd_profile(args) -> int:
                     sim.mobility,
                     interval_index=i + 1,
                     pipeline=sim.pipeline,
-                    algorithm=sim.algorithm,
                 )
                 intervals += 1
                 if outcome.someone_died:

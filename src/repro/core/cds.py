@@ -16,17 +16,18 @@ invariants.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro import obs
 from repro.core.marking import marked_mask
 from repro.core.pipeline import check_result, validate_energy
 from repro.core.priority import PriorityScheme, scheme_by_name
+from repro.core.properties import verify_cds
 from repro.core.reduction import PruneStats, prune
 from repro.graphs import bitset
 from repro.types import SupportsNeighborhoods
 
-__all__ = ["CDSResult", "compute_cds"]
+__all__ = ["CDSResult", "ScratchPipeline", "SelectorPipeline", "compute_cds"]
 
 
 @dataclass(frozen=True)
@@ -114,3 +115,46 @@ def compute_cds(
         )
         check_result(result, adj, energy, scheme=sch, verify=verify)
     return result
+
+
+@dataclass(frozen=True)
+class ScratchPipeline:
+    """:func:`compute_cds` behind the per-interval ``compute`` socket.
+
+    Stateless: every call recomputes from the live adjacency.  The
+    ``scalar`` backend runs it below ``INCREMENTAL_MIN_HOSTS``, where
+    that beats the delta pipeline's bookkeeping.
+    """
+
+    scheme: str | PriorityScheme
+    fixed_point: bool = False
+    verify: bool = False
+
+    def compute(self, graph, energy: Sequence[float] | None = None) -> CDSResult:
+        return compute_cds(
+            graph, self.scheme, energy,
+            fixed_point=self.fixed_point, verify=self.verify,
+        )
+
+
+@dataclass(frozen=True)
+class SelectorPipeline:
+    """A raw selector ``cds_fn(adjacency, energy) -> gateway bitmask``.
+
+    For oracle and baseline comparisons: results carry scheme ``"custom"``
+    and ``PruneStats(size, 0, 0, 0)``, and ``verify`` checks every mask,
+    an empty one included.
+    """
+
+    cds_fn: Callable[[list[int], Sequence[float] | None], int]
+    verify: bool = False
+
+    def compute(self, graph, energy: Sequence[float] | None = None) -> CDSResult:
+        adj = list(graph.adjacency if hasattr(graph, "adjacency") else graph)
+        with obs.span("cds_fn"):
+            mask = self.cds_fn(list(adj), energy)
+        if self.verify:
+            with obs.span("verify"):
+                verify_cds(adj, mask, context="cds_fn")
+        size = bitset.popcount(mask)
+        return CDSResult("custom", mask, len(adj), PruneStats(size, 0, 0, 0))

@@ -16,14 +16,18 @@ they evaluate it.  This module holds what they share:
 Backend rules (:data:`repro.core.registry.EXECUTION_BACKENDS`):
 
 ==========  ==============================================================
-``scalar``  scratch :func:`compute_cds` below ``INCREMENTAL_MIN_HOSTS``
-            (unless ``shadow_check``), the delta pipeline above it
+``scalar``  :class:`repro.core.cds.ScratchPipeline` below
+            ``INCREMENTAL_MIN_HOSTS`` (unless ``shadow_check``), the delta
+            pipeline above it
 ``delta``   :class:`repro.core.delta.DeltaCDSPipeline` at any size
 ``sparse``  :class:`repro.core.sparse_delta.IncrementalSparseCDSPipeline`
 ==========  ==============================================================
 
 Algorithms without the marking pipelines (every registry entry except
-``wu_li``) get :class:`repro.core.registry.AlgorithmPipeline`.
+``wu_li``) get :class:`repro.core.registry.AlgorithmPipeline`.  Every
+pipeline answers ``compute(graph, energy) -> CDSResult``; that one call
+is how :func:`repro.simulation.interval.run_interval` and the backbone
+service compute each interval's backbone.
 """
 
 from __future__ import annotations
@@ -56,7 +60,10 @@ def validate_energy(
     ``n`` is the node count, or the ``(B, n)`` shape of a stacked batch.
     Raises :class:`ConfigurationError` for a missing vector on an EL
     scheme, a wrong length/shape, and any NaN or infinite level (which
-    the priority keys cannot order).
+    the priority keys cannot order).  Any finite level is valid, negative
+    ones and ``-0.0`` included: a service ``Drain`` can overdraw a
+    battery, and the EL keys order such levels like any others, so every
+    backend returns the scratch result for them.
     """
     if energy is None:
         if scheme.needs_energy:
@@ -173,16 +180,17 @@ def make_pipeline(
 ):
     """The per-interval pipeline for one (algorithm, backend) choice.
 
-    Returns a :class:`~repro.core.delta.DeltaCDSPipeline`, an
-    :class:`~repro.core.sparse_delta.IncrementalSparseCDSPipeline`, an
-    :class:`~repro.core.registry.AlgorithmPipeline`, or ``None`` for the
-    scratch :func:`~repro.core.cds.compute_cds` path (see the module
+    Always returns a pipeline: a :class:`~repro.core.cds.ScratchPipeline`,
+    a :class:`~repro.core.delta.DeltaCDSPipeline`, an
+    :class:`~repro.core.sparse_delta.IncrementalSparseCDSPipeline` or an
+    :class:`~repro.core.registry.AlgorithmPipeline` (see the module
     docstring for the rules).  ``n_hosts`` is read only by ``scalar``;
     ``None`` means "large".  One instance per trial/tenant: the delta and
     sparse pipelines carry state across intervals.
     """
     # deferred: the pipelines import the scratch oracle, which imports
     # this module for its input/result checks
+    from repro.core.cds import ScratchPipeline
     from repro.core.delta import INCREMENTAL_MIN_HOSTS, DeltaCDSPipeline
     from repro.core.registry import AlgorithmPipeline, algorithm_by_name
     from repro.core.sparse_delta import IncrementalSparseCDSPipeline
@@ -191,7 +199,9 @@ def make_pipeline(
     sch = scheme_by_name(scheme) if isinstance(scheme, str) else scheme
     if algo.name != "wu_li":
         # the backend only selects how wu_li runs
-        return AlgorithmPipeline(algo, sch, verify=verify)
+        return AlgorithmPipeline(
+            algo, sch, fixed_point=fixed_point, verify=verify
+        )
     require_backend(algo, backend)
     if backend == "sparse":
         return IncrementalSparseCDSPipeline(
@@ -209,7 +219,7 @@ def make_pipeline(
     ):
         # below the measured crossover scratch is faster; shadow checking
         # needs a pipeline to check
-        return None
+        return ScratchPipeline(sch, fixed_point=fixed_point, verify=verify)
     return DeltaCDSPipeline(
         sch, fixed_point=fixed_point, verify=verify, shadow_check=shadow_check
     )

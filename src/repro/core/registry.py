@@ -285,13 +285,10 @@ def algorithm_by_name(name: str | CDSAlgorithm) -> CDSAlgorithm:
 
 
 class AlgorithmPipeline:
-    """Duck-types :class:`repro.core.delta.DeltaCDSPipeline` for any algorithm.
+    """Any registered construction behind the per-interval ``compute`` socket.
 
-    ``compute(graph, energy=...)`` / ``reset()`` — the socket
-    :func:`repro.simulation.interval.run_interval` and the backbone
-    service already use.  Stateless: non-marking constructions have no
-    incremental theory to cache, so every call recomputes from the live
-    adjacency.
+    Stateless: non-marking constructions have no incremental theory to
+    cache, so every call recomputes from the live adjacency.
     """
 
     def __init__(
@@ -299,20 +296,20 @@ class AlgorithmPipeline:
         algorithm: str | CDSAlgorithm,
         scheme: str | PriorityScheme,
         *,
+        fixed_point: bool = False,
         verify: bool = False,
     ):
         self.algorithm = algorithm_by_name(algorithm)
         self.scheme = (
             scheme_by_name(scheme) if isinstance(scheme, str) else scheme
         )
+        self.fixed_point = fixed_point
         self.verify = verify
-
-    def reset(self) -> None:
-        """No cached state to drop; present for pipeline-API parity."""
 
     def compute(self, graph, energy: Sequence[float] | None = None) -> CDSResult:
         return self.algorithm.compute(
-            graph, self.scheme, energy, verify=self.verify
+            graph, self.scheme, energy,
+            fixed_point=self.fixed_point, verify=self.verify,
         )
 
 

@@ -430,6 +430,8 @@ class BackboneService:
             try:
                 if self.chaos is not None:
                     await self.chaos.before_apply(name, k)
+                # only updates that apply accepts become durable
+                ctx.state.check(upd)
                 if ctx.journal is not None:
                     ctx.journal.append(k, upd)
                     appended = True

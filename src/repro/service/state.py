@@ -98,18 +98,31 @@ class TenantState:
 
     # -- update application --------------------------------------------------
 
+    def check(self, update: Update) -> None:
+        """Raise if ``update`` is invalid here; never changes state.
+
+        Invalid: joining a member; leaving, moving or draining a node that
+        is not one; a NaN or infinite coordinate, energy or drain.  The
+        service checks before it journals, so the WAL holds only updates
+        that :meth:`apply` accepts on replay.
+        """
+        _reject_non_finite(update)
+        if not isinstance(update, Join):
+            self.index_of(update.node)
+        elif update.node in self._index:
+            raise TopologyError(f"join of existing node {update.node}")
+
     def apply(self, update: Update) -> int:
         """Apply one update; returns the bitmask of adjacency rows changed.
 
         Membership changes (join/leave) renumber indices, so they report
         *all* rows changed; callers treat that as a pipeline cold start
-        (the cached engine resets on a size change anyway).  Invalid
-        updates (joining a member, moving a ghost, a NaN or infinite
-        coordinate, energy or drain) raise before any state changes —
+        (the cached engine resets on a size change anyway).  An invalid
+        update (see :meth:`check`) raises before any state changes —
         deliberately: a tenant feeding garbage is exactly what the
         supervisor's quarantine escalation is for.
         """
-        _reject_non_finite(update)
+        self.check(update)
         if isinstance(update, Join):
             changed = self._join(update)
         elif isinstance(update, Leave):
@@ -124,8 +137,6 @@ class TenantState:
         return changed
 
     def _join(self, u: Join) -> int:
-        if u.node in self._index:
-            raise TopologyError(f"join of existing node {u.node}")
         self._index[u.node] = len(self.ids)
         self.ids.append(u.node)
         self.positions = np.vstack(

@@ -2,7 +2,7 @@
 
 Sequence within an interval:
 
-1. snapshot the topology and compute the CDS under the configured scheme
+1. compute the CDS on the current topology under the configured scheme
    (for the EL schemes the *current* battery levels feed the priority key —
    this is the dynamic selection the paper proposes);
 2. drain energy: gateways lose ``d`` (drain model), others ``d' = 1``;
@@ -17,8 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro import obs
-from repro.core.cds import CDSResult, compute_cds
+from repro.core.cds import CDSResult, ScratchPipeline
 from repro.core.priority import PriorityScheme
+from repro.core.registry import AlgorithmPipeline
 from repro.energy.accounting import EnergyAccountant, IntervalDrainRecord
 from repro.graphs.adhoc import AdHocNetwork
 from repro.mobility.manager import MobilityManager
@@ -46,81 +47,29 @@ def run_interval(
     interval_index: int,
     fixed_point: bool = False,
     verify: bool = False,
-    cds_fn=None,
     pipeline=None,
     algorithm=None,
 ) -> IntervalOutcome:
     """Execute one update interval; moves hosts only if nobody died.
 
-    ``cds_fn(adjacency, energy_levels) -> gateway bitmask`` replaces the
-    paper's pipeline when given (oracle/baseline comparisons).  With
-    ``verify=True`` the custom selector's output is *always* checked —
-    including an empty mask, which on any non-trivial graph fails
-    domination.  (An earlier revision skipped verification for empty
-    masks, silently accepting a degenerate selector.)
-
-    ``pipeline`` (whatever :func:`repro.core.pipeline.make_pipeline`
-    returns — a :class:`repro.core.delta.DeltaCDSPipeline` or a
-    :class:`repro.core.sparse_delta.IncrementalSparseCDSPipeline`)
-    switches the CDS computation off the scratch path: the delta pipeline
-    diffs the network's live adjacency against its cached copy, and the
-    incremental sparse pipeline patches its persistent CSR from the
-    network's *positions* (so it never forces the Python adjacency cache
-    to materialize at 100k nodes) — both producing bit-identical
-    results.  The pipeline's own
-    ``fixed_point``/``verify``/``shadow_check`` settings govern that path
-    (the keyword arguments here apply to the scratch path only), so the
-    caller must construct it consistently.  Mutually exclusive with
-    ``cds_fn``.
-
-    ``algorithm`` (a :class:`repro.core.registry.CDSAlgorithm`) swaps the
-    backbone construction entirely; non-``wu_li`` algorithms always see
-    the current battery levels (the energy-weighted constructions consult
-    them regardless of the scheme key).  ``wu_li`` itself falls through to
-    the scratch/pipeline paths below, so the default configuration is
-    bit-identical to the pre-registry code.
+    The backbone is one ``pipeline.compute(network, levels)`` call on the
+    current battery levels (EL keys and energy-weighted constructions
+    read them, the rest ignore them).  ``pipeline`` is what
+    :func:`repro.core.pipeline.make_pipeline` returns or a
+    :class:`repro.core.cds.SelectorPipeline`; its own settings govern the
+    computation.  Without one, ``scheme``, ``fixed_point``, ``verify``
+    and ``algorithm`` (a :class:`repro.core.registry.CDSAlgorithm`) build
+    a stateless pipeline for this call.
     """
-    with obs.span("interval"):
-        if algorithm is not None and cds_fn is None and algorithm.name != "wu_li":
-            snap = network.snapshot()
-            cds = algorithm.compute(
-                snap,
-                scheme,
-                accountant.bank.levels,
-                fixed_point=fixed_point,
-                verify=verify,
-            )
-        elif cds_fn is not None:
-            from repro.core.reduction import PruneStats
-            from repro.graphs import bitset
-
-            snap = network.snapshot()
-            with obs.span("cds_fn"):
-                mask = cds_fn(list(snap.adjacency), accountant.bank.levels)
-            size = bitset.popcount(mask)
-            cds = CDSResult(
-                scheme="custom",
-                gateway_mask=mask,
-                n=snap.n,
-                stats=PruneStats(size, 0, 0, 0),
-            )
-            if verify:
-                from repro.core.properties import verify_cds
-
-                with obs.span("verify"):
-                    verify_cds(snap.adjacency, mask, context="cds_fn")
-        elif pipeline is not None:
-            energy = accountant.bank.levels if scheme.needs_energy else None
-            cds = pipeline.compute(network, energy=energy)
+    if pipeline is None:
+        if algorithm is None or algorithm.name == "wu_li":
+            pipeline = ScratchPipeline(scheme, fixed_point, verify)
         else:
-            energy = accountant.bank.levels if scheme.needs_energy else None
-            cds = compute_cds(
-                network.snapshot(),
-                scheme,
-                energy=energy,
-                fixed_point=fixed_point,
-                verify=verify,
+            pipeline = AlgorithmPipeline(
+                algorithm, scheme, fixed_point=fixed_point, verify=verify
             )
+    with obs.span("interval"):
+        cds = pipeline.compute(network, accountant.bank.levels)
         with obs.span("drain"):
             drain = accountant.apply(cds.gateway_mask)
         someone_died = bool(drain.died) or accountant.bank.any_dead()

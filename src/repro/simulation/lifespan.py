@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import obs
+from repro.core.cds import SelectorPipeline
 from repro.core.pipeline import make_pipeline
 from repro.core.priority import scheme_by_name
 from repro.core.registry import algorithm_by_name
@@ -64,25 +65,28 @@ class LifespanSimulator:
     :mod:`repro.core.registry` — any registered algorithm, not just the
     paper's marking path, so the lifespan campaigns genuinely compare
     constructions (``repro compare`` prints the one-network version of
-    that comparison).  ``cds_fn`` optionally replaces the pipeline with a
-    raw selector ``f(adjacency, energy) -> gateway bitmask`` and wins
-    over ``config.algorithm`` when both are given.
+    that comparison).  ``cds_fn`` optionally replaces it with a raw
+    selector ``f(adjacency, energy) -> gateway bitmask`` (a
+    :class:`repro.core.cds.SelectorPipeline`) and wins over
+    ``config.algorithm`` when both are given.  ``pipeline`` is the one
+    per-interval CDS source either way.
     """
 
     def __init__(
         self, config: SimulationConfig, rng: RngLike = None, *, cds_fn=None
     ):
         self.config = config
-        self.cds_fn = cds_fn
         self.rng = as_generator(rng)
         self.scheme = scheme_by_name(config.scheme)
         self.drain_model = drain_model_by_name(config.drain_model)
         self.algorithm = algorithm_by_name(config.algorithm)
-        # one pipeline per trial so trials stay independent.  A custom
-        # selector bypasses the pipelines, and non-wu_li algorithms
-        # recompute from the live snapshot inside run_interval.
-        self.pipeline = (
-            make_pipeline(
+        # one pipeline per trial so trials stay independent
+        if cds_fn is not None:
+            self.pipeline = SelectorPipeline(
+                cds_fn, verify=config.verify_invariants
+            )
+        else:
+            self.pipeline = make_pipeline(
                 self.algorithm,
                 config.backend,
                 self.scheme,
@@ -92,9 +96,6 @@ class LifespanSimulator:
                 shadow_check=config.shadow_check,
                 memory_budget_mb=config.memory_budget_mb,
             )
-            if cds_fn is None and self.algorithm.name == "wu_li"
-            else None
-        )
 
         self.network = random_connected_network(
             config.n_hosts,
@@ -155,11 +156,7 @@ class LifespanSimulator:
                     self.accountant,
                     self.mobility,
                     interval_index=len(records) + 1,
-                    fixed_point=cfg.fixed_point,
-                    verify=cfg.verify_invariants,
-                    cds_fn=self.cds_fn,
                     pipeline=self.pipeline,
-                    algorithm=self.algorithm,
                 )
                 records.append(outcome.metrics)
                 gateways = bitset.ids_from_mask(outcome.cds.gateway_mask)

@@ -1,7 +1,8 @@
 """The per-interval pipeline contract (:mod:`repro.core.pipeline`).
 
-Two things are pinned here: the factory's backend rules, and that a bad
-energy vector raises the same typed error on every execution path.
+Three things are pinned here: the factory's backend rules (every choice
+is a pipeline), that a bad energy vector raises the same typed error on
+every execution path, and that negative levels are valid on every path.
 """
 
 from __future__ import annotations
@@ -9,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.cds import compute_cds
+from repro.core.cds import ScratchPipeline, compute_cds
 from repro.core.delta import INCREMENTAL_MIN_HOSTS, DeltaCDSPipeline
 from repro.core.pipeline import make_pipeline
 from repro.core.registry import ALGORITHMS, AlgorithmPipeline
@@ -25,7 +26,10 @@ N = 30
 class TestFactory:
     def test_backend_rules(self):
         small, large = INCREMENTAL_MIN_HOSTS - 1, INCREMENTAL_MIN_HOSTS
-        assert make_pipeline("wu_li", "scalar", "id", n_hosts=small) is None
+        assert isinstance(
+            make_pipeline("wu_li", "scalar", "id", n_hosts=small),
+            ScratchPipeline,
+        )
         assert isinstance(
             make_pipeline("wu_li", "scalar", "id", n_hosts=large),
             DeltaCDSPipeline,
@@ -50,6 +54,23 @@ class TestFactory:
                 make_pipeline("mis_cds", backend, "id", n_hosts=large),
                 AlgorithmPipeline,
             )
+
+    @pytest.mark.parametrize("shadow_check", [False, True])
+    @pytest.mark.parametrize(
+        "n_hosts", [INCREMENTAL_MIN_HOSTS - 1, INCREMENTAL_MIN_HOSTS, None]
+    )
+    @pytest.mark.parametrize("backend", ["scalar", "delta", "sparse"])
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    def test_every_choice_is_a_pipeline(
+        self, net, algorithm, backend, n_hosts, shadow_check
+    ):
+        pipe = make_pipeline(
+            algorithm, backend, "el2", n_hosts=n_hosts,
+            shadow_check=shadow_check,
+        )
+        energy = np.linspace(50.0, 100.0, N)
+        want = ALGORITHMS[algorithm].compute(net, "el2", energy)
+        assert pipe.compute(net, energy).gateway_mask == want.gateway_mask
 
     def test_settings_reach_the_pipeline(self):
         pipe = make_pipeline(
@@ -127,3 +148,26 @@ class TestBadEnergy:
             assert path(net, energy).gateway_mask == want.gateway_mask
         for path in (_sparse_batch, _dense_batch):
             assert path(net, energy)[0].gateway_mask == want.gateway_mask
+
+
+class TestNegativeEnergy:
+    """Negative levels are valid: a service ``Drain`` can overdraw a battery."""
+
+    @pytest.mark.parametrize("scheme", ["el1", "el2", "id", "nd"])
+    @pytest.mark.parametrize(
+        "backend,n_hosts",
+        [("scalar", INCREMENTAL_MIN_HOSTS - 1), ("delta", None),
+         ("sparse", None)],
+        ids=["scratch", "delta", "sparse"],
+    )
+    def test_every_source_matches_scratch(self, backend, n_hosts, scheme):
+        rng = np.random.default_rng(5)
+        pipe = make_pipeline("wu_li", backend, scheme, n_hosts=n_hosts)
+        for seed in range(6):
+            net = random_connected_network(40, side=70.0, radius=25.0, rng=seed)
+            energy = rng.uniform(-5.0, 5.0, net.n)
+            energy[rng.choice(net.n, 8, replace=False)] = -0.0
+            want = compute_cds(net, scheme, energy=energy)
+            got = pipe.compute(net, energy)
+            assert got.gateway_mask == want.gateway_mask
+            assert got.stats == want.stats

@@ -14,11 +14,13 @@ import pytest
 
 from repro.core.cds import compute_cds
 from repro.core.delta import DeltaCDSPipeline
+from repro.core.pipeline import make_pipeline
 from repro.core.priority import PAPER_SERIES_ORDER
 from repro.core.properties import verify_cds
 from repro.core.registry import (
     ALGORITHMS,
     AlgorithmPipeline,
+    CDSAlgorithm,
     EXECUTION_BACKENDS,
     algorithm_by_name,
     algorithm_names,
@@ -151,8 +153,23 @@ class TestAlgorithmPipeline:
         direct = ALGORITHMS["greedy_mcds"].compute(net, "id", energy)
         via = pipe.compute(net, energy)
         assert via.gateway_mask == direct.gateway_mask
-        pipe.reset()  # stateless; must not raise
         assert pipe.compute(net, energy).gateway_mask == direct.gateway_mask
+
+
+    def test_fixed_point_reaches_the_algorithm(self):
+        seen = []
+
+        def spy(adj, scheme, energy, fixed_point):
+            seen.append(fixed_point)
+            return (1 << len(adj)) - 1, None
+
+        algo = CDSAlgorithm(name="spy", fn=spy)
+        net, energy = next(_nets(count=1))
+        AlgorithmPipeline(algo, "id", fixed_point=True).compute(net, energy)
+        make_pipeline(algo, "scalar", "id", fixed_point=True).compute(
+            net, energy
+        )
+        assert seen and all(seen)
 
 
 class TestAnejaTwoConnected:

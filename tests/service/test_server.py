@@ -25,7 +25,7 @@ from repro.service import BackboneService, ServiceConfig
 from repro.service.chaos import ChaosSchedule
 from repro.service.driver import seed_positions, tenant_seed
 from repro.service.supervisor import RestartPolicy
-from repro.service.updates import Move, UpdateStream
+from repro.service.updates import Join, Leave, Move, UpdateStream
 
 _HOSTS = 16
 _SEED = 2001
@@ -297,6 +297,49 @@ class TestQuarantine:
                 await service.close()
 
         asyncio.run(go())
+
+
+class TestRejectedUpdate:
+    @pytest.mark.parametrize(
+        "bad",
+        [Join(0, 10.0, 10.0), Leave(99), Move(1, float("nan"), 50.0)],
+        ids=["join_member", "leave_ghost", "nan_move"],
+    )
+    def test_never_reaches_the_journal(self, tmp_path, bad):
+        cfg = ServiceConfig(
+            restart=RestartPolicy(
+                base_delay_s=0.0, max_delay_s=0.0, jitter=0.0,
+                max_failures=2,
+            ),
+            data_dir=tmp_path,
+        )
+
+        async def first() -> str:
+            service = BackboneService(cfg)
+            try:
+                await service.add_tenant("net", _LINE)
+                await service.submit("net", Move(0, 5.0, 50.0))
+                await service.wait_seq("net", 1, deadline_s=5.0)
+                digest = service.state_digest("net")
+                await service.submit("net", bad)
+                # today's path: requeue, restart, then quarantine
+                with pytest.raises(TenantQuarantinedError):
+                    await service.wait_seq("net", 2, deadline_s=5.0)
+                assert service.state_digest("net") == digest
+                return digest
+            finally:
+                await service.close()
+
+        async def second() -> tuple[int, str]:
+            service = BackboneService(cfg)
+            try:
+                seq = await service.add_tenant("net", _LINE)
+                return seq, service.state_digest("net")
+            finally:
+                await service.close()
+
+        digest = asyncio.run(first())
+        assert asyncio.run(second()) == (1, digest)
 
 
 class TestCrashRecovery:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.registry import AlgorithmPipeline
 from repro.simulation.config import SimulationConfig
 from repro.simulation.lifespan import LifespanSimulator
 
@@ -40,7 +41,8 @@ class TestAlternativeAlgorithmLifespans:
 
     def test_non_wu_li_disables_marking_pipelines(self):
         sim = LifespanSimulator(_cfg(algorithm="mis_cds", n_hosts=80), rng=3)
-        assert sim.pipeline is None
+        assert isinstance(sim.pipeline, AlgorithmPipeline)
+        assert sim.pipeline.algorithm.name == "mis_cds"
         assert sim.algorithm.name == "mis_cds"
 
     def test_default_algorithm_is_wu_li_and_unchanged(self):

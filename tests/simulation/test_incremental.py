@@ -2,7 +2,7 @@
 
 The backend only changes *how* the per-interval CDS is computed, never
 *what* it is — so two simulators with the same seed, one on the delta
-pipeline and one forced onto the scratch path, must produce identical
+pipeline and one given a :class:`ScratchPipeline`, must produce identical
 trajectories, interval records, and lifespans.
 """
 
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.cds import ScratchPipeline, SelectorPipeline
 from repro.core.delta import DeltaCDSPipeline
 from repro.simulation.config import SimulationConfig
 from repro.simulation.lifespan import LifespanSimulator
@@ -25,7 +26,10 @@ def _run(incremental: bool, **overrides):
     sim = LifespanSimulator(cfg, rng=1234)
     assert isinstance(sim.pipeline, DeltaCDSPipeline)  # n=50 >= the cutoff
     if not incremental:
-        sim.pipeline = None  # run_interval falls back to compute_cds
+        sim.pipeline = ScratchPipeline(
+            sim.scheme, fixed_point=cfg.fixed_point,
+            verify=cfg.verify_invariants,
+        )
     return sim.run(keep_intervals=True)
 
 
@@ -42,20 +46,21 @@ def test_lifespan_identical_across_paths(scheme):
 
 def test_pipeline_constructed_only_when_wanted():
     cfg = SimulationConfig(n_hosts=50)
-    assert LifespanSimulator(cfg, rng=0).pipeline is not None
-    # custom selectors bypass the paper pipeline entirely
+    assert isinstance(LifespanSimulator(cfg, rng=0).pipeline, DeltaCDSPipeline)
+    # a custom selector replaces the paper pipeline entirely
     sim = LifespanSimulator(cfg, rng=0, cds_fn=lambda adj, e: (1 << 50) - 1)
-    assert sim.pipeline is None
+    assert isinstance(sim.pipeline, SelectorPipeline)
 
 
 def test_small_networks_stay_on_scratch_path():
     # below the measured crossover the scratch path is faster; the choice
     # is invisible because the two paths are bit-identical anyway
     cfg = SimulationConfig(n_hosts=20)
-    assert LifespanSimulator(cfg, rng=0).pipeline is None
-    # ... unless shadow checking was requested, which needs the pipeline
+    assert isinstance(LifespanSimulator(cfg, rng=0).pipeline, ScratchPipeline)
+    # ... unless shadow checking was requested, which needs the delta
+    # pipeline to check
     cfg = SimulationConfig(n_hosts=20, shadow_check=True)
-    assert LifespanSimulator(cfg, rng=0).pipeline is not None
+    assert isinstance(LifespanSimulator(cfg, rng=0).pipeline, DeltaCDSPipeline)
 
 
 def test_shadow_check_full_trial():

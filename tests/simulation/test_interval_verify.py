@@ -1,5 +1,5 @@
-"""Regression: ``run_interval(verify=True)`` must verify degenerate
-``cds_fn`` output too.
+"""Regression: a verifying :class:`SelectorPipeline` must verify
+degenerate ``cds_fn`` output too.
 
 The original guard was ``if verify and mask:`` — a custom selector
 returning an *empty* gateway mask (non-dominating on any non-trivial
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.cds import SelectorPipeline
 from repro.energy.accounting import EnergyAccountant
 from repro.energy.battery import BatteryBank
 from repro.energy.models import FixedDrain
@@ -36,8 +37,7 @@ def test_empty_mask_from_cds_fn_is_rejected_when_verifying():
             accountant,
             None,
             interval_index=1,
-            verify=True,
-            cds_fn=lambda adj, energy: 0,
+            pipeline=SelectorPipeline(lambda adj, energy: 0, verify=True),
         )
 
 
@@ -52,8 +52,7 @@ def test_empty_mask_still_accepted_without_verify():
         accountant,
         None,
         interval_index=1,
-        verify=False,
-        cds_fn=lambda adj, energy: 0,
+        pipeline=SelectorPipeline(lambda adj, energy: 0, verify=False),
     )
     assert outcome.cds.size == 0
 
@@ -72,8 +71,7 @@ def test_valid_cds_fn_passes_verification():
         accountant,
         None,
         interval_index=1,
-        verify=True,
-        cds_fn=good_fn,
+        pipeline=SelectorPipeline(good_fn, verify=True),
     )
     assert outcome.cds.size > 0
 
@@ -95,7 +93,6 @@ def test_disconnected_mask_from_cds_fn_is_rejected():
         accountant,
         None,
         interval_index=1,
-        verify=True,
-        cds_fn=all_but_connected,
+        pipeline=SelectorPipeline(all_but_connected, verify=True),
     )
     assert outcome.cds.size == network.n

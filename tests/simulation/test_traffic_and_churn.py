@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.cds import compute_cds
+from repro.core.registry import ALGORITHMS
 from repro.energy.traffic_model import TrafficEnergyModel
 from repro.errors import SimulationError
 from repro.mobility.churn import ChurnModel
@@ -42,6 +44,24 @@ class TestTrafficLifespan:
         )
         with pytest.raises(SimulationError, match="max_intervals"):
             TrafficLifespanSimulator(cfg, traffic, rng=1).run()
+
+    def test_algorithm_selects_the_backbone(self):
+        # one interval (every radio cost kills): the backbone that carried
+        # the traffic is config.algorithm's, not the marking process's
+        cfg = SimulationConfig(
+            n_hosts=30, scheme="el2", drain_model="fixed",
+            algorithm="mis_cds",
+        )
+        sim = TrafficLifespanSimulator(
+            cfg, TrafficEnergyModel(tx_cost=1e6, rx_cost=1e6), rng=4
+        )
+        levels = sim.bank.levels.copy()
+        want = ALGORITHMS["mis_cds"].compute(sim.network, "el2", levels)
+        marking = compute_cds(sim.network, "el2", energy=levels)
+        assert want.size != marking.size
+        result = sim.run()
+        assert result.lifespan == 1
+        assert result.mean_cds_size == want.size
 
     def test_el_rotation_extends_life(self):
         """The paper's headline conclusion, validated under real routed
